@@ -33,6 +33,7 @@ from .sampler import (
     Independent,
     Toeplitz,
     build_matrix,
+    child_seed,
     sample_diagonal,
     validate_conditions,
 )
@@ -48,7 +49,6 @@ from .spectra import (
 from .volumes import (
     VolumeCache,
     VolumeEstimate,
-    derive_volume_seed,
     solve_partition_system,
     toeplitz_volume,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "count_noncrossing",
     "toeplitz_volume",
     "solve_partition_system",
-    "derive_volume_seed",
     "VolumeCache",
     "VolumeEstimate",
     "limiting_moment",
@@ -79,6 +78,7 @@ __all__ = [
     "Toeplitz",
     "sample_diagonal",
     "build_matrix",
+    "child_seed",
     "validate_conditions",
     "SpectralSample",
     "EnsembleStats",

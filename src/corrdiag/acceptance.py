@@ -48,7 +48,7 @@ from .oracle import (
     walk_census,
 )
 from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
-from .sampler import CurieWeiss, Equicorrelated, Independent, Toeplitz, build_matrix
+from .sampler import CurieWeiss, Equicorrelated, Independent, Toeplitz, build_matrix, child_seed
 from .spectra import (
     empirical_moments,
     eigenvalues_symmetric,
@@ -108,11 +108,6 @@ class CriterionResult:
 
     def headline(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} criterion {self.number}: {self.name}"
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    seq = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _double_factorial(k: int) -> int:
@@ -211,7 +206,7 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     for i, c in enumerate(tol["figure_c_grid"]):
         stats = run_ensemble(
             tol["figure_n"], Equicorrelated(c), tol["figure_realizations"],
-            kmax=4, seed=_child_seed(seed, 4, i),
+            kmax=4, seed=child_seed(seed, 4, i),
         )
         target4 = 2.0 + (2.0 / 3.0) * c * c
         z2 = (stats.moments[1] - 1.0) / stats.moment_se[1]
@@ -220,7 +215,7 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         header = (
             f"corrdiag acceptance criterion 4",
             f"generator=equicorrelated c={c} n={tol['figure_n']} "
-            f"realizations={tol['figure_realizations']} seed={_child_seed(seed, 4, i)}",
+            f"realizations={tol['figure_realizations']} seed={child_seed(seed, 4, i)}",
         )
         path = write_histogram_csv(stats, out_dir / f"figure_c{c:g}_hist.csv", header)
         rows = moment_comparison_rows(stats, {2: (1.0, 0.0), 4: (target4, 0.0)})
@@ -238,7 +233,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
 
     stats = run_ensemble(
         tol["endpoint_n"], Independent(), tol["endpoint_independent_realizations"],
-        kmax=4, seed=_child_seed(seed, 5, 0),
+        kmax=4, seed=child_seed(seed, 5, 0),
     )
     z = (stats.moments[3] - 2.0) / stats.moment_se[3]
     ok &= abs(z) <= band
@@ -251,7 +246,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     theory = limiting_moment(4, 1.0, cache, tol["volume_samples"], seed)
     stats = run_ensemble(
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
-        kmax=4, seed=_child_seed(seed, 5, 1),
+        kmax=4, seed=child_seed(seed, 5, 1),
     )
     spread = math.hypot(stats.moment_se[3], theory.std_error)
     z = (stats.moments[3] - theory.value) / spread
@@ -294,7 +289,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     theory = limiting_moment(4, c2, cache, tol["volume_samples"], seed)
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
-        tol["cw_supercritical_realizations"], kmax=4, seed=_child_seed(seed, 6, 0),
+        tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
     )
     spread = math.hypot(stats.moment_se[3], theory.std_error)
     z_hot = (stats.moments[3] - theory.value) / spread
@@ -302,7 +297,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
 
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_subcritical_beta"]),
-        tol["cw_subcritical_realizations"], kmax=4, seed=_child_seed(seed, 6, 1),
+        tol["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
     )
     z_cold = (stats.moments[3] - 2.0) / stats.moment_se[3]
     ok &= abs(z_cold) <= band
@@ -332,7 +327,7 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     census = walk_census(tol["oracle_k4_n"], 4)
     worst4 = 0.0
     for index, p in enumerate(enumerate_pair_partitions(4)):
-        vol = cache.ensure(p, tol["volume_samples"], _child_seed(seed, 7, index)).value
+        vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, index)).value
         worst4 = max(worst4, abs(solution_ratio(census, p) - vol))
     k4_ok = worst4 <= tol["oracle_k4_gap"]
     ok &= k4_ok
@@ -344,7 +339,7 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     census = walk_census(tol["oracle_k6_n"], 6)
     worst6 = 0.0
     for index, p in enumerate(enumerate_pair_partitions(6)):
-        vol = cache.ensure(p, tol["volume_samples"], _child_seed(seed, 7, 100 + index)).value
+        vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, 100 + index)).value
         worst6 = max(worst6, abs(solution_ratio(census, p) - vol))
     k6_ok = worst6 <= tol["oracle_k6_gap"]
     ok &= k6_ok
@@ -382,7 +377,7 @@ def criterion_8(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     for k in (2, 4):
         report = concentration_probe(
             tuple(tol["concentration_grid"]), Equicorrelated(0.5), k,
-            tol["concentration_realizations"], seed=_child_seed(seed, 8, k),
+            tol["concentration_realizations"], seed=child_seed(seed, 8, k),
         )
         this_ok = report["slope"] <= tol["concentration_slope_max"]
         ok &= this_ok
@@ -402,7 +397,7 @@ def criterion_9(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     worst_ident = 0.0
     for gi, gen in enumerate(generators):
         for n in (50, 200):
-            matrix = build_matrix(n, gen, realization=0, seed=_child_seed(seed, 9, gi))
+            matrix = build_matrix(n, gen, realization=0, seed=child_seed(seed, 9, gi))
             sample = eigenvalues_symmetric(matrix)
             moments = empirical_moments(sample, 12)
             for k in range(1, 13):

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .curie_weiss import limiting_correlation, pair_correlation, spontaneous_magnetization
-from .moments import DEFAULT_SAMPLES, FORMS, limiting_moment
+from .moments import DEFAULT_SAMPLES, limiting_moment
 from .oracle import (
     census_report,
     check_cell_bound,
@@ -32,10 +32,11 @@ from .sampler import (
     Independent,
     Toeplitz,
     build_matrix,
+    child_seed,
     validate_conditions,
 )
 from .spectra import run_ensemble, write_histogram_csv, write_moment_csv, moment_comparison_rows
-from .volumes import VolumeCache, derive_volume_seed, toeplitz_volume
+from .volumes import VolumeCache
 
 
 def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -> list[str]:
@@ -96,9 +97,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
     rows = ["k,c,value,std_error,form"]
     for k in range(1, args.k + 1):
         for c in args.c_values:
-            seed = derive_volume_seed(args.seed, k, 0) if args.seed else args.seed
-            m = limiting_moment(k, c, cache, args.samples, seed, form=args.form)
-            rows.append(f"{k},{c:g},{m.value:.12g},{m.std_error:.6g},{m.form_used}")
+            seed = child_seed(args.seed, k, 0) if args.seed else args.seed
+            m = limiting_moment(k, c, cache, args.samples, seed)
+            rows.append(f"{k},{c:g},{m.value:.12g},{m.std_error:.6g},all_partitions")
     if args.cache is not None:
         cache.save(args.cache, _header(args))
     _write_lines(args.out, _header(args), rows)
@@ -158,13 +159,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0 if report["ok"] else 1
     census = walk_census(args.n, args.k)
     report = census_report(census)
-    if args.out is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        text = "".join(f"# {line}\n" for line in _header(args))
-        args.out.write_text(text + json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    header = _header(args) if args.out is not None else []  # stdout stays pure JSON
+    _write_lines(args.out, header, [json.dumps(report, indent=2, sort_keys=True)])
     return 0
 
 
@@ -210,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8, help="largest moment order")
     p.add_argument("--c", dest="c_values", type=float, nargs="+", default=[0.0, 0.5, 1.0],
                    help="correlation values in [0, 1]")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="Monte Carlo samples per crossing partition (>= 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--form", choices=FORMS, default="all_partitions")
     p.add_argument("--cache", type=Path, default=None)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=Path, default=None, help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("curie-weiss", help="spin-pair correlations at finite n and in the limit")
@@ -246,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4, help="walk length (even)")
     p.add_argument("--check-heights", action="store_true",
                    help="verify the shared-cell lower bound instead of reporting counts")
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=Path, default=None,
+                   help="write header lines then the JSON report (default: stdout, no header)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run acceptance criteria; exit 0 only if all pass")

@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 from .partitions import enumerate_pair_partitions, height, is_crossing
-from .volumes import VolumeCache, derive_volume_seed
+from .sampler import child_seed
+from .volumes import VolumeCache
 
 DEFAULT_SAMPLES = 200_000
-
-FORMS = ("all_partitions", "catalan_plus_crossing")
 
 
 def catalan(m: int) -> int:
@@ -42,7 +41,6 @@ class MomentValue:
     c: float
     value: float
     std_error: float
-    form_used: str
 
 
 def limiting_moment(
@@ -51,23 +49,20 @@ def limiting_moment(
     cache: VolumeCache | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    form: str = "all_partitions",
 ) -> MomentValue:
     """Moment of order k of the limiting distribution with correlation c.
 
-    Only crossing partitions carry Monte Carlo error; their volume estimates
-    come from ``cache`` when present (matching samples and seed), and are
-    computed and stored otherwise.  ``samples=0`` demands a pre-populated
-    cache.  The two evaluation forms share the crossing sum and differ only
-    in how the non-crossing block is counted, so with a common cache they
-    agree exactly.
+    Non-crossing partitions contribute exactly 1 each.  Only crossing
+    partitions carry Monte Carlo error; their volume estimates come from
+    ``cache`` when present (matching samples and seed), and are computed and
+    stored otherwise.  ``samples`` must be >= 1 at every k.
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if k % 2:
-        return MomentValue(k, float(c), 0.0, 0.0, form)
+        return MomentValue(k, float(c), 0.0, 0.0)
     if not 0.0 <= c <= 1.0:
         warnings.warn(
             f"c={c} is outside [0, 1]; no bundled matrix generator attains it",
@@ -87,20 +82,9 @@ def limiting_moment(
         weight = float(c) ** (half - height(p))
         if weight == 0.0:
             continue
-        if samples == 0:
-            estimate = cache.get(p.canonical())
-            if estimate is None:
-                raise ValueError(
-                    f"volume cache has no entry for {p.canonical()} and samples=0; "
-                    "run a volume pass first"
-                )
-        else:
-            estimate = cache.ensure(p, samples, derive_volume_seed(seed, k, index))
+        estimate = cache.ensure(p, samples, child_seed(seed, k, index))
         crossing_sum += weight * estimate.value
         crossing_var += (weight * estimate.std_error) ** 2
 
-    if form == "catalan_plus_crossing":
-        value = catalan(half) + crossing_sum
-    else:
-        value = noncrossing_count + crossing_sum
-    return MomentValue(k, float(c), float(value), math.sqrt(crossing_var), form)
+    value = noncrossing_count + crossing_sum
+    return MomentValue(k, float(c), float(value), math.sqrt(crossing_var))

@@ -15,7 +15,9 @@ sits below them by O(n^(k/2)) walks with extra coincidences.  For each walk
 we also count shared matrix
 cells: index pairs i < j whose steps touch the same unordered cell
 {p_i, p_{i+1}} = {p_j, p_{j+1}} — and, per block, whether that block itself
-is cell-tied.  Everything is exact integer counting, chunked over p_1.
+is cell-tied.  Everything is exact integer counting, chunked over p_1:
+one walk grid and one set of per-pair bitmasks per chunk (`_walk_masks`)
+serve both the census and the search for a walk below the cell bound.
 """
 
 from __future__ import annotations
@@ -61,9 +63,20 @@ def _check_cost(n: int, k: int) -> None:
         raise ValueError(f"n^k = {n**k} exceeds the cost guard {COST_GUARD}")
 
 
-def _chunk_tallies(n: int, k: int, p1: int, partitions, pair_index, signatures):
-    grids = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, -1) if k > 1 else \
-        np.empty((0, 1), dtype=np.int32)
+def _signature(p: PairPartition, pair_index) -> int:
+    """Bitmask of p's blocks: bit b is set when pair_index[b] is a block (0-based)."""
+    blocks = {(a - 1, b - 1) for a, b in p.blocks}
+    return sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
+
+
+def _walk_masks(n: int, k: int, p1: int, pair_index):
+    """Every closed walk starting at p_1 = p1, one column each.
+
+    Returns the (k+1)-row position grid and, per walk, three bitmasks over
+    ``pair_index`` (|d_i| = |d_j|; d_i = -d_j; steps i and j share a cell)
+    plus the number of cell-sharing pairs.
+    """
+    grids = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, -1)
     width = grids.shape[1]
     first = np.full(width, p1, dtype=np.int32)
     positions = np.vstack([first, grids, first])  # closed: p_{k+1} = p_1
@@ -73,6 +86,7 @@ def _chunk_tallies(n: int, k: int, p1: int, partitions, pair_index, signatures):
     eq_mask = np.zeros(width, dtype=np.int64)
     neg_mask = np.zeros(width, dtype=np.int64)
     cell_mask = np.zeros(width, dtype=np.int64)
+    cell_count = np.zeros(width, dtype=np.int16)
     for bit, (i, j) in enumerate(pair_index):
         eq_mask |= (magnitudes[i] == magnitudes[j]).astype(np.int64) << bit
         neg_mask |= (steps[i] == -steps[j]).astype(np.int64) << bit
@@ -80,13 +94,14 @@ def _chunk_tallies(n: int, k: int, p1: int, partitions, pair_index, signatures):
             (positions[i] == positions[j + 1]) & (positions[i + 1] == positions[j])
         )
         cell_mask |= tied.astype(np.int64) << bit
+        cell_count += tied
+    return positions, eq_mask, neg_mask, cell_mask, cell_count
 
-    cell_count = np.zeros(width, dtype=np.int16)
-    for bit in range(len(pair_index)):
-        cell_count += ((cell_mask >> bit) & 1).astype(np.int16)
 
+def _chunk_tallies(n: int, k: int, p1: int, partitions, pair_index, signatures):
+    _, eq_mask, neg_mask, cell_mask, cell_count = _walk_masks(n, k, p1, pair_index)
     out = []
-    matched_any = np.zeros(width, dtype=bool)
+    matched_any = np.zeros_like(eq_mask, dtype=bool)
     for p in partitions:
         sig = signatures[p.canonical()]
         is_matched = eq_mask == sig
@@ -114,10 +129,7 @@ def walk_census(n: int, k: int) -> WalkCensus:
     _check_cost(n, k)
     partitions = enumerate_pair_partitions(k)
     pair_index = list(itertools.combinations(range(k), 2))
-    signatures = {}
-    for p in partitions:
-        blocks = {(a - 1, b - 1) for a, b in p.blocks}
-        signatures[p.canonical()] = sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
+    signatures = {p.canonical(): _signature(p, pair_index) for p in partitions}
 
     chunks = parallel_map(
         lambda p1: _chunk_tallies(n, k, p1, partitions, pair_index, signatures),
@@ -187,32 +199,15 @@ def check_cell_bound(n: int, k: int) -> dict:
 
 
 def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
-    """Locate one opposed walk with fewer than ``floor`` shared cells (slow path)."""
+    """First opposed walk of ``p`` with fewer than ``floor`` shared cells, as
+    1-based positions (p_1, ..., p_k), or None when there is none."""
     pair_index = list(itertools.combinations(range(k), 2))
-    blocks = {(a - 1, b - 1) for a, b in p.blocks}
-    sig = sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
-    signatures = {p.canonical(): sig}
+    sig = _signature(p, pair_index)
     for p1 in range(n):
-        chunk, _ = _chunk_tallies(n, k, p1, [p], pair_index, signatures)
-        if any(v < floor for v in chunk[0][3]):
-            grids = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, -1)
-            first = np.full(grids.shape[1], p1, dtype=np.int32)
-            positions = np.vstack([first, grids, first])
-            steps = positions[1:] - positions[:-1]
-            magnitudes = np.abs(steps)
-            eq_mask = np.zeros(grids.shape[1], dtype=np.int64)
-            cell = np.zeros(grids.shape[1], dtype=np.int16)
-            neg_ok = np.ones(grids.shape[1], dtype=bool)
-            for bit, (i, j) in enumerate(pair_index):
-                eq_mask |= (magnitudes[i] == magnitudes[j]).astype(np.int64) << bit
-                if (i, j) in blocks:
-                    neg_ok &= steps[i] == -steps[j]
-                tied = ((positions[i] == positions[j]) & (positions[i + 1] == positions[j + 1])) | (
-                    (positions[i] == positions[j + 1]) & (positions[i + 1] == positions[j]))
-                cell += tied.astype(np.int16)
-            hit = np.flatnonzero((eq_mask == sig) & neg_ok & (cell < floor))
-            if hit.size:
-                return tuple(int(x) + 1 for x in positions[:-1, hit[0]])
+        positions, eq_mask, neg_mask, _, cell_count = _walk_masks(n, k, p1, pair_index)
+        hit = np.flatnonzero((eq_mask == sig) & ((neg_mask & sig) == sig) & (cell_count < floor))
+        if hit.size:
+            return tuple(int(x) + 1 for x in positions[:-1, hit[0]])
     return None
 
 

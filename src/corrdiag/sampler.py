@@ -16,7 +16,10 @@ correlation within one diagonal:
 
 Seed layout: diagonal r of realization t uses the child stream
 SeedSequence(seed, spawn_key=(t, r)), so diagonals are independent, runs
-are reproducible, and realizations never share entropy.  Normals are drawn
+are reproducible, and realizations never share entropy.  Every other
+integer seed a run derives (per-partition volume seeds, per-criterion and
+per-size ensemble seeds) is ``child_seed(seed, *key)``, the first 64-bit
+word of the child stream SeedSequence(seed, spawn_key=key).  Normals are drawn
 by inverse CDF (ndtri) on 53-bit uniforms offset to the open interval, a
 choice fixed here because bit-exact reproducibility is promised.
 """
@@ -92,6 +95,12 @@ def sample_diagonal(gen: GeneratorSpec, length: int, rng: np.random.Generator) -
 def diagonal_rng(seed: int, realization: int, offset: int) -> np.random.Generator:
     """The documented per-diagonal stream: child (realization, offset) of seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(realization, offset)))
+
+
+def child_seed(seed: int, *key: int) -> int:
+    """Integer seed of child stream ``key`` of ``seed``: the first 64-bit word
+    of SeedSequence(seed, spawn_key=key)."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0) -> np.ndarray:

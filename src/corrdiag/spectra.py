@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import parallel_map
-from .sampler import GeneratorSpec, build_matrix
+from .sampler import GeneratorSpec, build_matrix, child_seed
 
 TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
@@ -142,7 +142,7 @@ def concentration_probe(
         raise ValueError(f"need at least 200 realizations, got {realizations}")
     fourth = []
     for n in n_grid:
-        child = int(np.random.SeedSequence(seed, spawn_key=(n,)).generate_state(1, np.uint64)[0])
+        child = child_seed(seed, n)
 
         def one(r: int, n=n, child=child):
             sample = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=child))

@@ -133,12 +133,6 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
     return VolumeEstimate(value, std_error, samples, seed, False)
 
 
-def derive_volume_seed(base_seed: int, k: int, index: int) -> int:
-    """Per-partition Monte Carlo seed: child stream (k, index) of the base seed."""
-    seq = np.random.SeedSequence(base_seed, spawn_key=(k, index))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 class VolumeCache:
     """Text-backed store of volume estimates keyed by canonical partition.
 
@@ -152,15 +146,6 @@ class VolumeCache:
         self._entries: dict[str, VolumeEstimate] = {}
         if self.path is not None and self.path.exists():
             self.load(self.path)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> VolumeEstimate | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, estimate: VolumeEstimate) -> None:
-        self._entries[key] = estimate
 
     def ensure(self, p: PairPartition, samples: int, seed: int) -> VolumeEstimate:
         """Cached estimate if it was produced by the same (samples, seed) run,
@@ -198,5 +183,6 @@ class VolumeCache:
             raise ValueError("no path given and the cache was created without one")
         lines = [f"# {h}" for h in header_lines]
         lines += [self.format_line(k, e) for k, e in sorted(self._entries.items())]
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("\n".join(lines) + "\n")
         return target

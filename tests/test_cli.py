@@ -67,6 +67,44 @@ def test_moments_table_format(capsys):
     assert table[("3", "0")][2] == "0"
 
 
+# data rows of `moments --k 6 --c 0.5 1 --samples 4000` at each seed; seed 0
+# passes through unchanged, any other seed is first mapped to child_seed(seed, k, 0)
+MOMENT_ROWS = {
+    1: ["4,0.5,2.1654375,0.00187015", "4,1,2.66175,0.00748059",
+        "6,0.5,6.25765625,0.00495769", "6,1,11.03125,0.0240984"],
+    0: ["4,0.5,2.1639375,0.00187809", "4,1,2.65575,0.00751236",
+        "6,0.5,6.24840625,0.00497453", "6,1,10.98875,0.024154"],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MOMENT_ROWS))
+def test_moments_rows_pinned(capsys, seed):
+    code, out, _ = run_cli(capsys, "moments", "--k", "6", "--c", "0.5", "1",
+                           "--samples", "4000", "--seed", str(seed))
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    exact = {1: "0,0", 2: "1,0", 3: "0,0", 5: "0,0"}
+    sampled = iter(MOMENT_ROWS[seed])
+    rows = [f"{k},{c},{exact[k]}" if k in exact else next(sampled)
+            for k in range(1, 7) for c in ("0.5", "1")]
+    assert lines == ["k,c,value,std_error,form"] + [f"{row},all_partitions" for row in rows]
+
+
+def test_moments_creates_cache_directory(tmp_path, capsys):
+    cache = tmp_path / "new" / "moments.txt"
+    out = tmp_path / "moments.csv"
+    code, _, _ = run_cli(capsys, "moments", "--k", "4", "--c", "1", "--samples", "2000",
+                         "--seed", "1", "--cache", str(cache), "--out", str(out))
+    assert code == 0 and cache.exists() and out.exists()
+
+
+def test_volume_creates_cache_directory(tmp_path, capsys):
+    cache = tmp_path / "new" / "volume.txt"
+    code, _, _ = run_cli(capsys, "volume", "1-3,2-4", "--samples", "2000",
+                         "--cache", str(cache))
+    assert code == 0 and cache.exists()
+
+
 def test_curie_weiss_command(capsys):
     code, out, _ = run_cli(capsys, "curie-weiss", "--beta", "2.0", "--n", "200")
     assert code == 0
@@ -134,6 +172,16 @@ def test_oracle_command(capsys):
     report = json.loads(out)
     assert report["partition_sum_identity"] is True
     assert report["total_walks"] == 6**4
+
+
+def test_oracle_out_file_is_header_then_report(tmp_path, capsys):
+    target = tmp_path / "oracle" / "report.json"
+    code, _, _ = run_cli(capsys, "oracle", "--n", "5", "--k", "4", "--out", str(target))
+    assert code == 0
+    _, stdout, _ = run_cli(capsys, "oracle", "--n", "5", "--k", "4")
+    lines = target.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# corrdiag ") and lines[1].startswith("# config: ")
+    assert "".join(lines[2:]) == stdout
 
 
 def test_oracle_check_heights(capsys):

@@ -1,10 +1,9 @@
 """Limiting moments of the interpolating spectral law."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
+from corrdiag.cli import main
 from corrdiag.moments import (
     DEFAULT_SAMPLES,
     MomentValue,
@@ -87,26 +86,15 @@ def test_moments_increase_with_correlation():
     assert values == sorted(values)
 
 
-def test_forms_agree_exactly():
-    cache = VolumeCache()
-    for k in (4, 6, 8):
-        for c in (0.3, 1.0):
-            a = limiting_moment(k, c, cache, samples=100_000, seed=2, form="all_partitions")
-            b = limiting_moment(k, c, cache, samples=100_000, seed=2, form="catalan_plus_crossing")
-            assert a.value == b.value  # bit-exact, shared crossing sum
-            assert a.form_used != b.form_used
-
-
-def test_cache_miss_with_zero_budget_raises():
-    with pytest.raises(ValueError, match="volume cache"):
-        limiting_moment(4, 0.5, VolumeCache(), samples=0, seed=0)
-
-
-def test_cache_hit_with_zero_budget_succeeds():
-    cache = VolumeCache()
-    filled = limiting_moment(4, 0.5, cache, samples=50_000, seed=1)
-    reused = limiting_moment(4, 0.5, cache, samples=0, seed=1)
-    assert math.isclose(filled.value, reused.value, rel_tol=0, abs_tol=0)
+def test_nonpositive_sample_budget_rejected(capsys):
+    # rejected before any partition is visited, so even exact orders
+    # (k=2, c=0, odd k) refuse a budget that toeplitz_volume would refuse
+    for samples in (0, -5):
+        for k, c in ((2, 0.5), (4, 0.0), (3, 0.5)):
+            with pytest.raises(ValueError, match="samples"):
+                limiting_moment(k, c, VolumeCache(), samples=samples, seed=0)
+    assert main(["moments", "--k", "2", "--samples", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_out_of_range_correlation_warns():
@@ -115,7 +103,7 @@ def test_out_of_range_correlation_warns():
 
 
 def test_moment_value_is_frozen():
-    m = MomentValue(4, 0.5, 2.1, 0.001, "all_partitions")
+    m = MomentValue(4, 0.5, 2.1, 0.001)
     with pytest.raises(AttributeError):
         m.value = 3.0
 

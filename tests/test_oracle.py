@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrdiag.oracle import (
+    _find_low_cell_walk,
     census_report,
     check_excess_crossing_decay,
     check_cell_bound,
@@ -13,7 +14,7 @@ from corrdiag.oracle import (
     solution_ratio,
     walk_census,
 )
-from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
+from corrdiag.partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 
 
 def test_k2_counts_exact():
@@ -119,9 +120,34 @@ def test_cell_bound_holds_exhaustively():
             assert report["violations"] == []
 
 
-def test_shared_cell_histogram_obeys_bound():
-    from corrdiag.partitions import height
+def _walk_profile(walk, k):
+    """(|d| equality pairs, reversed pairs, shared-cell count) of a closed walk, by hand."""
+    closed = list(walk) + [walk[0]]
+    steps = [closed[i + 1] - closed[i] for i in range(k)]
+    cells = [sorted(closed[i:i + 2]) for i in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    equal = {(i, j) for i, j in pairs if abs(steps[i]) == abs(steps[j])}
+    reversed_ = {(i, j) for i, j in pairs if steps[i] == -steps[j]}
+    shared = sum(cells[i] == cells[j] for i, j in pairs)
+    return equal, reversed_, shared
 
+
+def test_find_low_cell_walk_returns_checked_walk():
+    for k, n in ((4, 6), (6, 5)):
+        for p in enumerate_pair_partitions(k):
+            floor = height(p) + 1
+            walk = _find_low_cell_walk(n, k, p, floor)
+            assert walk is not None and len(walk) == k
+            assert all(1 <= x <= n for x in walk)
+            blocks = {(a - 1, b - 1) for a, b in p.blocks}
+            equal, reversed_, shared = _walk_profile(walk, k)
+            assert equal == blocks  # matched: the |step| pattern is exactly p
+            assert blocks <= reversed_  # opposed
+            assert shared < floor
+            assert _find_low_cell_walk(n, k, p, 0) is None
+
+
+def test_shared_cell_histogram_obeys_bound():
     census = walk_census(7, 6)
     for p in enumerate_pair_partitions(6):
         tally = census.tallies[p.canonical()]

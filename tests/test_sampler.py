@@ -10,6 +10,7 @@ from corrdiag.sampler import (
     Independent,
     Toeplitz,
     build_matrix,
+    child_seed,
     diagonal_rng,
     sample_diagonal,
     validate_conditions,
@@ -105,3 +106,12 @@ def test_gaussian_tails_present():
     m = build_matrix(300, Independent(), realization=0, seed=4) * np.sqrt(300)
     assert np.abs(m).max() > 3.0
     assert np.abs(m).max() < 8.0
+
+
+def test_child_seed_distinct_and_pinned():
+    seeds = {child_seed(5, k, i) for k in (2, 4, 6) for i in range(10)}
+    assert len(seeds) == 30
+    # the documented layout: first 64-bit word of SeedSequence(seed, spawn_key=key)
+    assert child_seed(5, 4, 1) == 2192821385777484778
+    assert child_seed(1729, 7, 100) == 712944754390216424
+    assert child_seed(3, 50) == 4522566153492081178
