@@ -119,15 +119,14 @@ def cmd_curie_weiss(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     gen = _generator_from(args)
-    out_dir = args.out if args.out is not None else Path("corrdiag_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = _header(args)
-
     if args.check_conditions:
         report = validate_conditions(gen, args.n, draws=max(1000, 20 * args.n), seed=args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["all_ok"] else 1
 
+    out_dir = args.out if args.out is not None else Path("corrdiag_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = _header(args)
     stats = run_ensemble(
         args.n, gen, args.realizations, kmax=args.k,
         bins=args.bins, hist_range=tuple(args.range), seed=args.seed,
@@ -147,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_matrix:
         matrix = build_matrix(args.n, gen, realization=0, seed=args.seed)
         dump = out_dir / "matrix_upper.f64"
-        matrix[np.triu_indices(args.n)].astype(np.float64).tofile(dump)
+        matrix[np.triu_indices(args.n)].tofile(dump)
         print(f"wrote {dump} ({args.n}*({args.n}+1)/2 float64, row-major upper triangle)")
     return 0
 
@@ -155,13 +154,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.check_heights:
         report = check_cell_bound(args.n, args.k)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-    census = walk_census(args.n, args.k)
-    report = census_report(census)
+    else:
+        report = census_report(walk_census(args.n, args.k))
     header = _header(args) if args.out is not None else []  # stdout stays pure JSON
     _write_lines(args.out, header, [json.dumps(report, indent=2, sort_keys=True)])
-    return 0
+    return 1 if args.check_heights and not report["ok"] else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -9,11 +9,11 @@ from functools import lru_cache
 MAX_GROUND_SET = 16  # (k-1)!! growth; 15!! = 2,027,025 is the practical ceiling
 
 
-def _check_ground_set(k: int, cap: int = MAX_GROUND_SET) -> None:
+def _check_ground_set(k: int) -> None:
     if k < 2 or k % 2:
         raise ValueError(f"k must be a positive even integer, got {k}")
-    if k > cap:
-        raise ValueError(f"k={k} exceeds the enumeration cap {cap}")
+    if k > MAX_GROUND_SET:
+        raise ValueError(f"k={k} exceeds the enumeration cap {MAX_GROUND_SET}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,13 @@ def _all_pairings(k: int) -> tuple[PairPartition, ...]:
     return tuple(out)
 
 
-def enumerate_pair_partitions(k: int, cap: int = MAX_GROUND_SET) -> list[PairPartition]:
+def enumerate_pair_partitions(k: int) -> list[PairPartition]:
     """All (k-1)!! pairings of {1,...,k}.
 
     Order is deterministic: the smallest unpaired element is matched with
     each larger candidate in turn, which is lexicographic in the block list.
     """
-    _check_ground_set(k, cap)
+    _check_ground_set(k)
     return list(_all_pairings(k))
 
 
@@ -119,6 +119,6 @@ def height(p: PairPartition) -> int:
     return total
 
 
-def count_noncrossing(k: int, cap: int = MAX_GROUND_SET) -> int:
+def count_noncrossing(k: int) -> int:
     """Number of non-crossing pairings of {1,...,k}."""
-    return sum(1 for p in enumerate_pair_partitions(k, cap) if not is_crossing(p))
+    return sum(1 for p in enumerate_pair_partitions(k) if not is_crossing(p))

@@ -107,14 +107,14 @@ def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0
     """One realization of the scaled symmetric matrix as a dense float array."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
-    a = np.zeros((n, n))
-    idx = np.arange(n)
+    a = np.empty((n, n))
+    flat = a.reshape(-1)
+    scale = math.sqrt(n)
     for r in range(n):
-        values = sample_diagonal(gen, n - r, diagonal_rng(seed, realization, r))
-        head = idx[: n - r]
-        a[head, head + r] = values
-        a[head + r, head] = values
-    return a / math.sqrt(n)
+        values = sample_diagonal(gen, n - r, diagonal_rng(seed, realization, r)) / scale
+        flat[r:(n - r) * (n + 1):n + 1] = values  # entries (i, i + r)
+        flat[r * n::n + 1] = values  # entries (i + r, i)
+    return a
 
 
 def _same_diagonal_target(gen: GeneratorSpec, length: int) -> float:

@@ -142,10 +142,9 @@ class VolumeCache:
     """
 
     def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
         self._entries: dict[str, VolumeEstimate] = {}
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
+        if path is not None and Path(path).exists():
+            self.load(path)
 
     def ensure(self, p: PairPartition, samples: int, seed: int) -> VolumeEstimate:
         """Cached estimate if it was produced by the same (samples, seed) run,
@@ -177,10 +176,8 @@ class VolumeCache:
             key, estimate = self.parse_line(line)
             self._entries[key] = estimate
 
-    def save(self, path: str | Path | None = None, header_lines: tuple[str, ...] = ()) -> Path:
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no path given and the cache was created without one")
+    def save(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> Path:
+        target = Path(path)
         lines = [f"# {h}" for h in header_lines]
         lines += [self.format_line(k, e) for k, e in sorted(self._entries.items())]
         target.parent.mkdir(parents=True, exist_ok=True)

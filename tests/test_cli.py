@@ -166,6 +166,16 @@ def test_simulate_check_conditions(capsys):
     assert report["all_ok"] is True
 
 
+def test_simulate_check_conditions_makes_no_out_directory(tmp_path, capsys):
+    target = tmp_path / "d"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--generator", "independent", "--n", "10", "--seed", "0",
+        "--check-conditions", "--out", str(target),
+    )
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert not target.exists()
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--k", "4")
     assert code == 0
@@ -188,6 +198,19 @@ def test_oracle_check_heights(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--k", "4", "--check-heights")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_oracle_check_heights_out_file_is_header_then_report(tmp_path, capsys):
+    target = tmp_path / "oracle" / "heights.json"
+    code, out, _ = run_cli(capsys, "oracle", "--n", "5", "--k", "4", "--check-heights",
+                           "--out", str(target))
+    assert code == 0 and out == f"wrote {target}\n"
+    _, stdout, _ = run_cli(capsys, "oracle", "--n", "5", "--k", "4", "--check-heights")
+    assert json.loads(stdout)["ok"] is True
+    lines = target.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# corrdiag ") and lines[1].startswith("# config: ")
+    assert "check_heights=True" in lines[1]
+    assert "".join(lines[2:]) == stdout
 
 
 def test_verify_subset_passes(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Diagonal generators and matrix assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from corrdiag.curie_weiss import pair_correlation
+from corrdiag.curie_weiss import _level_cdf, pair_correlation
 from corrdiag.sampler import (
     CurieWeiss,
     Equicorrelated,
@@ -115,3 +117,58 @@ def test_child_seed_distinct_and_pinned():
     assert child_seed(5, 4, 1) == 2192821385777484778
     assert child_seed(1729, 7, 100) == 712944754390216424
     assert child_seed(3, 50) == 4522566153492081178
+
+
+# SHA-256 of build_matrix(n, gen, realization=1, seed=5).tobytes(); any change
+# to sampling, seeding, assembly or scaling shows up here.  At n=600 a
+# Curie-Weiss matrix draws spins at 600 distinct lengths.
+MATRIX_SHA256 = {
+    Independent(): {
+        1: "bace4becac8cad947ab77a25a91ec6211cceda145dcda68458f1d675aff9572d",
+        2: "8ab8da807aa4d54b39fade6329781bcc47dea02f20ee70cf8af30e6ecf0cf286",
+        7: "00aad012f48ccf920e633b0d0d8b24e9d70b6b8e3aab45561a29b43b00202b1e",
+        64: "f2b1af05af8151bf7ed04ed851c69f2daf8e2fc9e30a734161d96baea123bf8c",
+        600: "4e11f7749d8c9ce97d6565d812ece9df60566886947a17ff3541d2286ac06f21",
+    },
+    Equicorrelated(0.5): {
+        1: "1661564b1b1f6e0c3111e8301dc8448a000c4e77bd41bc7fa3d509c46feab60c",
+        2: "a71c1e3f1b5b9438770f08dd2bd67481b6d0d05b846cb7589e7bf9f293ce9fad",
+        7: "649da8c8d57bddd6192c10afbb55df88bbeb1e1299c9aee8919e1689f439a548",
+        64: "4102633d9637040ebd8f8ce25b9828ee76085c7452ce3d78477fd5a3ac8ca1b2",
+        600: "4584a9cb5ecb8c4cec723f40a7cc71749c702ddd039c742cae007b76911a4149",
+    },
+    CurieWeiss(2.0): {
+        1: "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+        2: "701d8abe4f930906dc0c0b025ea8220f9ba3b981e7a4e31eabe738e3a6696a61",
+        7: "8d8d77e08babaf149a5e984e24cb36b4f2d7aca6dca7b726a3c8b3664d1e47bc",
+        64: "d568365e5bfde56c9485312c5aba06a5bb91ed6cd66c0ea31d5beeefd3e776cf",
+        600: "8d48a6b4b925f5b9ff2c235035bbd763169eb8b01f9fb2c86cd87731deb6c394",
+    },
+    Toeplitz(): {
+        1: "bace4becac8cad947ab77a25a91ec6211cceda145dcda68458f1d675aff9572d",
+        2: "cd88576f561a53b88e7affbfffdee89c75bc8996b18f8917420b4788451f8a0c",
+        7: "0e457ff23281dc3d3ce0afdd3e6fec41052a64d5aa7ca74cecd43fea62c49aa0",
+        64: "0d467574bf0064a8adb51bb5e4871e975e5f2cc1920fddeb472c8cc788e36ca4",
+        600: "f645c35abe379cd4ed25baa8066f7a09d4a41d8bcedf132d589ed483e3d4a456",
+    },
+}
+
+
+@pytest.mark.parametrize("gen,n", [(g, n) for g in MATRIX_SHA256 for n in MATRIX_SHA256[g]],
+                         ids=lambda v: type(v).__name__ if not isinstance(v, int) else str(v))
+def test_matrix_bytes_pinned(gen, n):
+    a = build_matrix(n, gen, realization=1, seed=5)
+    assert a.dtype == np.float64 and a.shape == (n, n)
+    assert hashlib.sha256(a.tobytes()).hexdigest() == MATRIX_SHA256[gen][n]
+
+
+def test_curie_weiss_rebuild_misses_no_level_cache():
+    # every (length, beta) a build needs stays cached, so a second build of
+    # the same size computes no level CDF again
+    gen = CurieWeiss(2.0)
+    build_matrix(600, gen, realization=0, seed=3)
+    before = _level_cdf.cache_info()
+    build_matrix(600, gen, realization=1, seed=3)
+    after = _level_cdf.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 600
