@@ -15,9 +15,18 @@ sits below them by O(n^(k/2)) walks with extra coincidences.  For each walk
 we also count shared matrix
 cells: index pairs i < j whose steps touch the same unordered cell
 {p_i, p_{i+1}} = {p_j, p_{j+1}} — and, per block, whether that block itself
-is cell-tied.  Everything is exact integer counting, chunked over p_1:
-one walk grid and one set of per-pair bitmasks per chunk (`_walk_masks`)
-serve both the census and the search for a walk below the cell bound.
+is cell-tied.
+
+Everything is exact integer counting over every walk, chunked over p_1.
+Each walk carries three bitmasks with one bit per pair of steps:
+|d_i| = |d_j|, d_i = -d_j, and steps i and j share a cell.  The positions
+p_2..p_k, the steps d_2..d_{k-1} and the bits of every pair among those
+steps do not depend on p_1, so `_interior` builds them once per (n, k)
+and `_walk_masks` adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.
+Both the census and the search for a walk below the cell bound scan
+chunks this way.  A walk's |step| mask equals at most one partition's
+signature, so one sorted lookup assigns each walk of a chunk to its
+partition and `np.bincount` tallies every partition in that one pass.
 """
 
 from __future__ import annotations
@@ -28,10 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_map, thread_count
 from .partitions import PairPartition, enumerate_pair_partitions, height
 
 COST_GUARD = 10**8
+MEMORY_GUARD = 2**29  # bytes of census arrays, as `_census_bytes` estimates them
+MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
 
 
 @dataclass(eq=False)
@@ -56,11 +67,43 @@ class WalkCensus:
         return self.nonpair_walks + sum(t.matched for t in self.tallies.values()) == self.total_walks
 
 
+def _mask_dtype(k: int):
+    return np.int32 if k * (k - 1) // 2 <= 31 else np.int64
+
+
+def _census_bytes(n: int, k: int, threads: int) -> int:
+    """Peak bytes of census arrays, estimated from their shapes.
+
+    With W = n^(k-1) walks per p_1 chunk and b = 4 or 8 bytes per bitmask,
+    the interior holds int16 positions (k-1)W and steps (k-2)W, three
+    bitmasks and an int8 cell count: W(4k - 5 + 3b) bytes.  Each chunk in
+    flight holds its own three bitmasks and cell count, two int16 edge
+    steps, an int64 partition slot per walk and the boolean and gathered
+    temporaries of the lookup: at most W(5b + 24) bytes.  The estimate is
+    W(4k - 5 + 3b) + threads * W(5b + 24).
+    """
+    width = n ** (k - 1)
+    b = np.dtype(_mask_dtype(k)).itemsize
+    return width * (4 * k - 5 + 3 * b) + threads * width * (5 * b + 24)
+
+
 def _check_cost(n: int, k: int) -> None:
+    """Reject (n, k) before anything is allocated: too many walks, too many
+    step pairs for one bitmask, or more census bytes than MEMORY_GUARD."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n**k > COST_GUARD:
         raise ValueError(f"n^k = {n**k} exceeds the cost guard {COST_GUARD}")
+    pairs = k * (k - 1) // 2
+    if pairs > MASK_BITS:
+        raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
+    threads = thread_count()
+    need = _census_bytes(n, k, threads)
+    if need > MEMORY_GUARD:
+        raise ValueError(
+            f"(n, k) = ({n}, {k}) needs about {need / 2**20:.0f} MiB of census arrays with "
+            f"{threads} thread(s), over the memory guard of {MEMORY_GUARD / 2**20:.0f} MiB"
+        )
 
 
 def _signature(p: PairPartition, pair_index) -> int:
@@ -69,58 +112,87 @@ def _signature(p: PairPartition, pair_index) -> int:
     return sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
 
 
-def _walk_masks(n: int, k: int, p1: int, pair_index):
-    """Every closed walk starting at p_1 = p1, one column each.
+def _add_pairs(masks, cell_count, pairs, positions, steps) -> None:
+    """OR the bits of each (bit, i, j) in ``pairs`` into ``masks`` in place.
 
-    Returns the (k+1)-row position grid and, per walk, three bitmasks over
-    ``pair_index`` (|d_i| = |d_j|; d_i = -d_j; steps i and j share a cell)
-    plus the number of cell-sharing pairs.
+    The three mask rows get |d_i| = |d_j|, d_i = -d_j and "steps i and j
+    share a cell", which is p_i = p_j with d_i = d_j, or p_i = p_{j+1} with
+    d_i = -d_j; ``cell_count`` gains the shared cells.
     """
-    grids = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, -1)
-    width = grids.shape[1]
-    first = np.full(width, p1, dtype=np.int32)
-    positions = np.vstack([first, grids, first])  # closed: p_{k+1} = p_1
-    steps = positions[1:] - positions[:-1]
-    magnitudes = np.abs(steps)
-
-    eq_mask = np.zeros(width, dtype=np.int64)
-    neg_mask = np.zeros(width, dtype=np.int64)
-    cell_mask = np.zeros(width, dtype=np.int64)
-    cell_count = np.zeros(width, dtype=np.int16)
-    for bit, (i, j) in enumerate(pair_index):
-        eq_mask |= (magnitudes[i] == magnitudes[j]).astype(np.int64) << bit
-        neg_mask |= (steps[i] == -steps[j]).astype(np.int64) << bit
-        tied = ((positions[i] == positions[j]) & (positions[i + 1] == positions[j + 1])) | (
-            (positions[i] == positions[j + 1]) & (positions[i + 1] == positions[j])
-        )
-        cell_mask |= tied.astype(np.int64) << bit
+    for bit, i, j in pairs:
+        same = steps[i] == steps[j]
+        reverse = steps[i] == -steps[j]
+        tied = ((positions[i] == positions[j]) & same) | ((positions[i] == positions[j + 1]) & reverse)
+        weight = masks.dtype.type(1 << bit)
+        for mask, hit in zip(masks, (same | reverse, reverse, tied)):
+            mask |= hit * weight
         cell_count += tied
-    return positions, eq_mask, neg_mask, cell_mask, cell_count
 
 
-def _chunk_tallies(n: int, k: int, p1: int, partitions, pair_index, signatures):
-    _, eq_mask, neg_mask, cell_mask, cell_count = _walk_masks(n, k, p1, pair_index)
-    out = []
-    matched_any = np.zeros_like(eq_mask, dtype=bool)
-    for p in partitions:
-        sig = signatures[p.canonical()]
-        is_matched = eq_mask == sig
-        matched_any |= is_matched
-        solves = (neg_mask & sig) == sig
-        is_opposed = is_matched & solves
-        values, counts = np.unique(cell_count[is_opposed], return_counts=True)
-        ties = {}
-        for a, b in p.blocks:
-            bit = pair_index.index((a - 1, b - 1))
-            ties[(a, b)] = int((is_opposed & ((cell_mask >> bit) & 1).astype(bool)).sum())
-        out.append((
-            int(is_matched.sum()),
-            int(is_opposed.sum()),
-            int(np.count_nonzero(solves)),
-            {int(v): int(c) for v, c in zip(values, counts)},
-            ties,
-        ))
-    return out, int((~matched_any).sum())
+@dataclass(frozen=True)
+class _Interior:
+    """The p_1-independent part of every closed walk of length k on n sites."""
+
+    k: int
+    pair_index: list[tuple[int, int]]
+    rows: np.ndarray  # (k-1, W) int16: p_2..p_k (0-based sites), one column per walk
+    steps: np.ndarray  # (k-2, W) int16: d_2..d_{k-1}
+    masks: np.ndarray  # (3, W) bits of the pairs among those steps
+    cell_count: np.ndarray  # (W,) int8: shared cells among those pairs
+
+
+def _interior(n: int, k: int) -> _Interior:
+    pair_index = list(itertools.combinations(range(k), 2))
+    rows = np.indices((n,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
+    steps = rows[1:] - rows[:-1]
+    masks = np.zeros((3, rows.shape[1]), dtype=_mask_dtype(k))
+    cell_count = np.zeros(rows.shape[1], dtype=np.int8)
+    inner = [(bit, i, j) for bit, (i, j) in enumerate(pair_index) if i > 0 and j < k - 1]
+    _add_pairs(masks, cell_count, inner, [None, *rows, None], [None, *steps, None])
+    return _Interior(k, pair_index, rows, steps, masks, cell_count)
+
+
+def _walk_masks(interior: _Interior, p1: int):
+    """Bitmasks (|d_i| = |d_j|, d_i = -d_j, shared cell; one row each) and
+    shared-cell counts of the closed walks starting at p_1 = p1 (0-based),
+    one column per column of ``interior.rows``."""
+    k, rows = interior.k, interior.rows
+    start = np.int16(p1)
+    positions = [start, *rows, start]  # closed: p_{k+1} = p_1
+    steps = [rows[0] - start, *interior.steps, start - rows[-1]]
+    masks = interior.masks.copy()
+    cell_count = interior.cell_count.copy()
+    edge = [(bit, i, j) for bit, (i, j) in enumerate(interior.pair_index) if i == 0 or j == k - 1]
+    _add_pairs(masks, cell_count, edge, positions, steps)
+    return masks, cell_count
+
+
+def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
+    """Counts of the walks starting at p1, row r for the partition whose
+    signature is ``signatures[r]`` (sorted): matched, opposed and solutions
+    (P,), the shared-cell histogram (P, pairs + 1) and the cell ties of
+    each pair bit (P, pairs).  Each walk is visited once."""
+    (eq, neg, cell), cell_count = _walk_masks(interior, p1)
+    parts, pairs = len(signatures), len(interior.pair_index)
+    values, counts = np.unique(neg, return_counts=True)
+    solutions = np.array([counts[(values & s) == s].sum() for s in signatures], dtype=np.int64)
+
+    slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
+    hit = signatures[slot] == eq
+    slot, eq, neg, cell, cell_count = slot[hit], eq[hit], neg[hit], cell[hit], cell_count[hit]
+    matched = np.bincount(slot, minlength=parts)
+
+    hit = (neg & eq) == eq
+    slot, ties, cell_count = slot[hit], cell[hit] & eq[hit], cell_count[hit]
+    opposed = np.bincount(slot, minlength=parts)
+    cells = np.bincount(slot * (pairs + 1) + cell_count, minlength=parts * (pairs + 1))
+
+    hit = ties != 0
+    slot, ties = slot[hit], ties[hit]
+    block_ties = np.zeros((parts, pairs), dtype=np.int64)
+    for bit in range(pairs):
+        block_ties[:, bit] = np.bincount(slot[((ties >> bit) & 1).astype(bool)], minlength=parts)
+    return matched, opposed, solutions, cells.reshape(parts, pairs + 1), block_ties
 
 
 @lru_cache(maxsize=16)
@@ -128,28 +200,26 @@ def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
     partitions = enumerate_pair_partitions(k)
-    pair_index = list(itertools.combinations(range(k), 2))
-    signatures = {p.canonical(): _signature(p, pair_index) for p in partitions}
+    interior = _interior(n, k)
+    signature = {p.canonical(): _signature(p, interior.pair_index) for p in partitions}
+    ordered = sorted(signature, key=signature.get)
+    signatures = np.array([signature[key] for key in ordered], dtype=interior.masks.dtype)
 
-    chunks = parallel_map(
-        lambda p1: _chunk_tallies(n, k, p1, partitions, pair_index, signatures),
-        range(n),
-    )
-    tallies = {p.canonical(): PartitionTally(block_ties={b: 0 for b in p.blocks})
-               for p in partitions}
-    nonpair = 0
-    for chunk, chunk_nonpair in chunks:
-        nonpair += chunk_nonpair
-        for p, (matched, opposed, solutions, cells, ties) in zip(partitions, chunk):
-            t = tallies[p.canonical()]
-            t.matched += matched
-            t.opposed += opposed
-            t.solutions += solutions
-            for value, count in cells.items():
-                t.shared_cells[value] = t.shared_cells.get(value, 0) + count
-            for block, count in ties.items():
-                t.block_ties[block] += count
-    return WalkCensus(n, k, n**k, tallies, nonpair)
+    chunks = parallel_map(lambda p1: _chunk_tallies(interior, p1, signatures), range(n))
+    matched, opposed, solutions, cells, ties = (sum(column) for column in zip(*chunks))
+    row = {key: r for r, key in enumerate(ordered)}
+    tallies = {}
+    for p in partitions:
+        r = row[p.canonical()]
+        tallies[p.canonical()] = PartitionTally(
+            matched=int(matched[r]),
+            opposed=int(opposed[r]),
+            solutions=int(solutions[r]),
+            shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
+            block_ties={(a, b): int(ties[r, interior.pair_index.index((a - 1, b - 1))])
+                        for a, b in p.blocks},
+        )
+    return WalkCensus(n, k, n**k, tallies, n**k - int(matched.sum()))
 
 
 def opposed_ratio(census: WalkCensus, p: PairPartition) -> float:
@@ -201,13 +271,13 @@ def check_cell_bound(n: int, k: int) -> dict:
 def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
     """First opposed walk of ``p`` with fewer than ``floor`` shared cells, as
     1-based positions (p_1, ..., p_k), or None when there is none."""
-    pair_index = list(itertools.combinations(range(k), 2))
-    sig = _signature(p, pair_index)
+    interior = _interior(n, k)
+    sig = _signature(p, interior.pair_index)
     for p1 in range(n):
-        positions, eq_mask, neg_mask, _, cell_count = _walk_masks(n, k, p1, pair_index)
-        hit = np.flatnonzero((eq_mask == sig) & ((neg_mask & sig) == sig) & (cell_count < floor))
+        (eq, neg, _), cell_count = _walk_masks(interior, p1)
+        hit = np.flatnonzero((eq == sig) & ((neg & sig) == sig) & (cell_count < floor))
         if hit.size:
-            return tuple(int(x) + 1 for x in positions[:-1, hit[0]])
+            return (p1 + 1, *(int(x) + 1 for x in interior.rows[:, hit[0]]))
     return None
 
 

@@ -194,6 +194,21 @@ def test_oracle_out_file_is_header_then_report(tmp_path, capsys):
     assert "".join(lines[2:]) == stdout
 
 
+def test_oracle_memory_guard_exits_before_allocating(capsys):
+    import tracemalloc
+
+    for n, k in (("6", "10"), ("10", "8")):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "oracle", "--n", n, "--k", k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "memory guard" in err
+        assert peak < 2**22  # the census would need over a gigabyte
+
+
 def test_oracle_check_heights(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--k", "4", "--check-heights")
     assert code == 0

@@ -1,9 +1,13 @@
 """Exhaustive walk counts over the cyclic index space."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from corrdiag.oracle import (
+    _check_cost,
     _find_low_cell_walk,
     census_report,
     check_excess_crossing_decay,
@@ -120,16 +124,22 @@ def test_cell_bound_holds_exhaustively():
             assert report["violations"] == []
 
 
-def _walk_profile(walk, k):
-    """(|d| equality pairs, reversed pairs, shared-cell count) of a closed walk, by hand."""
+def _walk_pairs(walk, k):
+    """(|d| equality pairs, reversed pairs, cell-sharing pairs) of a closed walk, by hand."""
     closed = list(walk) + [walk[0]]
     steps = [closed[i + 1] - closed[i] for i in range(k)]
     cells = [sorted(closed[i:i + 2]) for i in range(k)]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     equal = {(i, j) for i, j in pairs if abs(steps[i]) == abs(steps[j])}
     reversed_ = {(i, j) for i, j in pairs if steps[i] == -steps[j]}
-    shared = sum(cells[i] == cells[j] for i, j in pairs)
-    return equal, reversed_, shared
+    tied = {(i, j) for i, j in pairs if cells[i] == cells[j]}
+    return equal, reversed_, tied
+
+
+def _walk_profile(walk, k):
+    """(|d| equality pairs, reversed pairs, shared-cell count) of a closed walk, by hand."""
+    equal, reversed_, tied = _walk_pairs(walk, k)
+    return equal, reversed_, len(tied)
 
 
 def test_find_low_cell_walk_returns_checked_walk():
@@ -223,3 +233,68 @@ def test_census_report_serializable():
 def test_cost_guard_rejects_huge_grids():
     with pytest.raises(ValueError):
         walk_census(200, 6)
+
+
+def _brute_force_census(n, k):
+    """Every census count by visiting each walk in plain Python, one at a time."""
+    blocks = {p.canonical(): frozenset((a - 1, b - 1) for a, b in p.blocks)
+              for p in enumerate_pair_partitions(k)}
+    by_pattern = {pattern: key for key, pattern in blocks.items()}
+    counts = {key: {"matched": 0, "opposed": 0, "solutions": 0,
+                    "shared_cells": Counter(), "block_ties": Counter()} for key in blocks}
+    nonpair = 0
+    for walk in itertools.product(range(n), repeat=k):
+        equal, reversed_, tied = _walk_pairs(walk, k)
+        for key, pattern in blocks.items():
+            counts[key]["solutions"] += pattern <= reversed_
+        key = by_pattern.get(frozenset(equal))
+        if key is None:
+            nonpair += 1
+            continue
+        counts[key]["matched"] += 1
+        if blocks[key] <= reversed_:
+            counts[key]["opposed"] += 1
+            counts[key]["shared_cells"][len(tied)] += 1
+            counts[key]["block_ties"].update((i + 1, j + 1) for i, j in blocks[key] & tied)
+    return counts, nonpair
+
+
+@pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8)])
+def test_census_matches_brute_force(n, k):
+    expected, nonpair = _brute_force_census(n, k)
+    census = walk_census(n, k)
+    assert census.nonpair_walks == nonpair
+    for p in enumerate_pair_partitions(k):
+        tally, want = census.tallies[p.canonical()], expected[p.canonical()]
+        assert (tally.matched, tally.opposed, tally.solutions) == (
+            want["matched"], want["opposed"], want["solutions"])
+        assert tally.shared_cells == dict(want["shared_cells"])
+        assert tally.block_ties == {block: want["block_ties"][block] for block in p.blocks}
+
+
+def test_census_identical_across_thread_counts(monkeypatch):
+    # chunks share the read-only interior arrays across worker threads
+    for n, k in ((9, 4), (5, 6), (3, 8)):
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CORRDIAG_THREADS", threads)
+            census = walk_census.__wrapped__(n, k)
+            solutions = {key: tally.solutions for key, tally in census.tallies.items()}
+            results.append((census_report(census), solutions))
+        assert results[0] == results[1]
+
+
+def test_memory_guard_accepts_every_tested_shape(monkeypatch):
+    # the benchmark's censuses and the largest ones the tests and criterion 7 run
+    shapes = [(60, 4), (12, 6), (6, 8), (40, 4), (10, 6), (16, 6), (18, 6), (7, 6), (3, 8),
+              (12, 2)]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CORRDIAG_THREADS", threads)
+        for n, k in shapes:
+            _check_cost(n, k)
+
+
+def test_mask_width_guard_rejects_k12():
+    # k=12 has 66 step pairs, more than one int64 bitmask can hold
+    with pytest.raises(ValueError, match="step pairs"):
+        walk_census(2, 12)
