@@ -13,7 +13,7 @@ from corrdiag import enumerate_pair_partitions, is_crossing, solve_partition_sys
 print("the linear system for the interleaved partition 1-3,2-4:")
 sys_ = solve_partition_system(next(p for p in enumerate_pair_partitions(4) if is_crossing(p)))
 print(f"  free variables: x{list(sys_.free_vars)}")
-for j, coeffs, _ in sys_.determined:
+for j, coeffs in sys_.determined:
     terms = " + ".join(f"{c}*x{v}" for c, v in zip(coeffs, sys_.free_vars) if c)
     print(f"  x{j} = {terms}")
 

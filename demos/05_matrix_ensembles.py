@@ -39,7 +39,7 @@ for gen, c in rows:
 
 print("\nspectral edges move too — eigenvalue range of one realization each:")
 for gen in (Independent(), Toeplitz()):
-    lam = eigenvalues_symmetric(build_matrix(800, gen, 0, 5)).eigenvalues
+    lam = eigenvalues_symmetric(build_matrix(800, gen, 0, 5))
     print(f"  {type(gen).__name__:<12} [{lam.min():+.3f}, {lam.max():+.3f}]")
 print("(the semicircle support is [-2, 2]; full correlation spreads past it)")
 

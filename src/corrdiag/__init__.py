@@ -9,7 +9,7 @@ from .curie_weiss import (
     sample_spins,
     spontaneous_magnetization,
 )
-from .moments import MomentValue, catalan, limiting_moment, semicircle_moment
+from .moments import MomentValue, catalan, closed_form_moments, limiting_moment, semicircle_moment
 from .oracle import (
     census_report,
     check_excess_crossing_decay,
@@ -39,7 +39,6 @@ from .sampler import (
 )
 from .spectra import (
     EnsembleStats,
-    SpectralSample,
     concentration_probe,
     eigenvalues_symmetric,
     empirical_moments,
@@ -65,6 +64,7 @@ __all__ = [
     "VolumeEstimate",
     "limiting_moment",
     "semicircle_moment",
+    "closed_form_moments",
     "catalan",
     "MomentValue",
     "pair_correlation",
@@ -80,7 +80,6 @@ __all__ = [
     "build_matrix",
     "child_seed",
     "validate_conditions",
-    "SpectralSample",
     "EnsembleStats",
     "eigenvalues_symmetric",
     "empirical_moments",

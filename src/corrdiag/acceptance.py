@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .curie_weiss import limiting_correlation, pair_correlation
-from .moments import catalan, limiting_moment
+from .moments import catalan, closed_form_moments, limiting_moment
 from .oracle import (
     check_excess_crossing_decay,
     check_cell_bound,
@@ -50,9 +50,10 @@ from .oracle import (
 from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import CurieWeiss, Equicorrelated, Independent, Toeplitz, build_matrix, child_seed
 from .spectra import (
-    empirical_moments,
-    eigenvalues_symmetric,
+    EnsembleStats,
     concentration_probe,
+    eigenvalues_symmetric,
+    empirical_moments,
     moment_comparison_rows,
     run_ensemble,
     trace_moment_direct,
@@ -108,6 +109,11 @@ class CriterionResult:
 
     def headline(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} criterion {self.number}: {self.name}"
+
+
+def _z(stats: EnsembleStats, k: int, value: float, std_error: float = 0.0) -> float:
+    """z-score of the ensemble's order-k moment against one theory value."""
+    return moment_comparison_rows(stats, {k: (value, std_error)})[0]["z_score"]
 
 
 def _double_factorial(k: int) -> int:
@@ -208,9 +214,8 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
             tol["figure_n"], Equicorrelated(c), tol["figure_realizations"],
             kmax=4, seed=child_seed(seed, 4, i),
         )
-        target4 = 2.0 + (2.0 / 3.0) * c * c
-        z2 = (stats.moments[1] - 1.0) / stats.moment_se[1]
-        z4 = (stats.moments[3] - target4) / stats.moment_se[3]
+        rows = moment_comparison_rows(stats, closed_form_moments(Equicorrelated(c)))
+        z2, z4 = (row["z_score"] for row in rows)
         ok &= abs(z2) <= band and abs(z4) <= band
         header = (
             f"corrdiag acceptance criterion 4",
@@ -218,7 +223,6 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
             f"realizations={tol['figure_realizations']} seed={child_seed(seed, 4, i)}",
         )
         path = write_histogram_csv(stats, out_dir / f"figure_c{c:g}_hist.csv", header)
-        rows = moment_comparison_rows(stats, {2: (1.0, 0.0), 4: (target4, 0.0)})
         write_moment_csv(rows, out_dir / f"figure_c{c:g}_moments.csv", header)
         details.append(
             f"c={c}: m2 z={z2:+.2f}, m4 z={z4:+.2f} (band {band}); histogram -> {path.name}"
@@ -235,7 +239,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Independent(), tol["endpoint_independent_realizations"],
         kmax=4, seed=child_seed(seed, 5, 0),
     )
-    z = (stats.moments[3] - 2.0) / stats.moment_se[3]
+    z = _z(stats, 4, 2.0)
     ok &= abs(z) <= band
     details.append(
         f"independent: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs 2 "
@@ -248,8 +252,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
     )
-    spread = math.hypot(stats.moment_se[3], theory.std_error)
-    z = (stats.moments[3] - theory.value) / spread
+    z = _z(stats, 4, theory.value, theory.std_error)
     ok &= abs(z) <= band
     details.append(
         f"toeplitz: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs {theory.value:.5f} "
@@ -291,15 +294,14 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
         tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
     )
-    spread = math.hypot(stats.moment_se[3], theory.std_error)
-    z_hot = (stats.moments[3] - theory.value) / spread
+    z_hot = _z(stats, 4, theory.value, theory.std_error)
     ok &= abs(z_hot) <= band
 
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_subcritical_beta"]),
         tol["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
     )
-    z_cold = (stats.moments[3] - 2.0) / stats.moment_se[3]
+    z_cold = _z(stats, 4, 2.0)
     ok &= abs(z_cold) <= band
     details.append(
         f"ensembles at n={tol['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory.value:.5f}; "
@@ -324,29 +326,19 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
                    f"n <= {tol['cell_bound_max_n']}: {bound_ok}")
 
     cache = VolumeCache()
-    census = walk_census(tol["oracle_k4_n"], 4)
-    worst4 = 0.0
-    for index, p in enumerate(enumerate_pair_partitions(4)):
-        vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, index)).value
-        worst4 = max(worst4, abs(solution_ratio(census, p) - vol))
-    k4_ok = worst4 <= tol["oracle_k4_gap"]
-    ok &= k4_ok
-    details.append(
-        f"k=4 cancellation-system solution ratios at n={tol['oracle_k4_n']}: "
-        f"worst gap {worst4:.4f} vs {tol['oracle_k4_gap']} -> {k4_ok}"
-    )
-
-    census = walk_census(tol["oracle_k6_n"], 6)
-    worst6 = 0.0
-    for index, p in enumerate(enumerate_pair_partitions(6)):
-        vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, 100 + index)).value
-        worst6 = max(worst6, abs(solution_ratio(census, p) - vol))
-    k6_ok = worst6 <= tol["oracle_k6_gap"]
-    ok &= k6_ok
-    details.append(
-        f"k=6 cancellation-system solution ratios at n={tol['oracle_k6_n']}: "
-        f"worst gap {worst6:.4f} vs {tol['oracle_k6_gap']} -> {k6_ok}"
-    )
+    for k, offset in ((4, 0), (6, 100)):
+        n, allowed = tol[f"oracle_k{k}_n"], tol[f"oracle_k{k}_gap"]
+        census = walk_census(n, k)
+        worst = 0.0
+        for index, p in enumerate(enumerate_pair_partitions(k)):
+            vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, offset + index)).value
+            worst = max(worst, abs(solution_ratio(census, p) - vol))
+        ratio_ok = worst <= allowed
+        ok &= ratio_ok
+        details.append(
+            f"k={k} cancellation-system solution ratios at n={n}: "
+            f"worst gap {worst:.4f} vs {allowed} -> {ratio_ok}"
+        )
 
     for k, grid in ((4, tol["decay_grid_k4"]), (6, tol["decay_grid_k6"])):
         report = check_sn_minus_snstar_decay(tuple(grid), k)
@@ -398,12 +390,12 @@ def criterion_9(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     for gi, gen in enumerate(generators):
         for n in (50, 200):
             matrix = build_matrix(n, gen, realization=0, seed=child_seed(seed, 9, gi))
-            sample = eigenvalues_symmetric(matrix)
-            moments = empirical_moments(sample, 12)
+            eigenvalues = eigenvalues_symmetric(matrix)
+            moments = empirical_moments(eigenvalues, 12)
             for k in range(1, 13):
                 worst_route = max(worst_route, abs(moments[k - 1] - trace_moment_direct(matrix, k)))
-            trace_gap = abs(sample.eigenvalues.sum() - np.trace(matrix))
-            frob_gap = abs((sample.eigenvalues**2).sum() - np.linalg.norm(matrix, "fro") ** 2)
+            trace_gap = abs(eigenvalues.sum() - np.trace(matrix))
+            frob_gap = abs((eigenvalues**2).sum() - np.linalg.norm(matrix, "fro") ** 2)
             worst_ident = max(worst_ident, trace_gap / n, frob_gap / n)
     ok &= worst_route <= atol and worst_ident <= scale
     details.append(f"eigenvalue vs trace-power route, k <= 12: worst gap {worst_route:.2e} vs {atol:g}")
@@ -429,12 +421,8 @@ def run_acceptance(
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         tol.update(tolerances)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     selected = numbers if numbers is not None else tuple(sorted(_CRITERIA))
-    results = []
-    for number in selected:
-        if number not in _CRITERIA:
-            raise ValueError(f"no criterion {number}; valid: {sorted(_CRITERIA)}")
-        results.append(_CRITERIA[number](tol, seed, out_dir))
-    return results
+    invalid = [number for number in selected if number not in _CRITERIA]
+    if invalid:
+        raise ValueError(f"no criterion {invalid[0]}; valid: {sorted(_CRITERIA)}")
+    return [_CRITERIA[number](tol, seed, Path(out_dir)) for number in selected]

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every file the CLI writes starts with ``#``-prefixed header lines that echo
-the package version and the exact run configuration.  Headers carry no
+Every file the CLI writes starts with ``#``-prefixed header lines; those of
+the ``verify`` CSVs name the criterion and generator, all others echo the
+package version and the exact run configuration.  Headers carry no
 timestamps, so rerunning a command with the same arguments reproduces the
-output byte for byte.
+output byte for byte.  Output directories are created by the first file
+written into them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .curie_weiss import limiting_correlation, pair_correlation, spontaneous_magnetization
-from .moments import DEFAULT_SAMPLES, limiting_moment
+from .moments import DEFAULT_SAMPLES, closed_form_moments, limiting_moment
 from .oracle import (
     census_report,
     check_cell_bound,
@@ -125,20 +127,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0 if report["all_ok"] else 1
 
     out_dir = args.out if args.out is not None else Path("corrdiag_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = _header(args)
     stats = run_ensemble(
         args.n, gen, args.realizations, kmax=args.k,
         bins=args.bins, hist_range=tuple(args.range), seed=args.seed,
     )
     hist_path = write_histogram_csv(stats, out_dir / "histogram.csv", header)
-    theory: dict[int, tuple[float, float]] = {}
-    if isinstance(gen, Equicorrelated):
-        c = gen.c
-        theory = {2: (1.0, 0.0), 4: (2.0 + (2.0 / 3.0) * c * c, 0.0)}
-    elif isinstance(gen, Independent):
-        theory = {2: (1.0, 0.0), 4: (2.0, 0.0)}
-    rows = moment_comparison_rows(stats, theory)
+    rows = moment_comparison_rows(stats, closed_form_moments(gen))
     mom_path = write_moment_csv(rows, out_dir / "moments.csv", header)
     print(f"wrote {hist_path}")
     print(f"wrote {mom_path}")

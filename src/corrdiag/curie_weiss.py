@@ -8,10 +8,10 @@ handled in log-domain (the exponent grows like beta*n/2 and overflows naive
 exponentials).
 
 The limiting pair correlation is 0 up to beta = 1 and m(beta)^2 beyond it,
-where m(beta) is the unique positive root of m = tanh(beta*m) — solved by
-damped fixed-point iteration with a bisection fallback.  That consistency
-equation is a standard mean-field reconstruction: it reproduces the
-threshold at beta = 1, monotonicity in beta, and the limits 0 and 1.
+where m(beta) is the unique positive root of m = tanh(beta*m), found by
+bisection down to adjacent doubles.  That consistency equation is a
+standard mean-field reconstruction: it reproduces the threshold at
+beta = 1, monotonicity in beta, and the limits 0 and 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-FIXED_POINT_TOL = 1e-12
 MAX_SPINS = 100_000
 
 
@@ -90,30 +89,21 @@ def pair_correlation(n: int, beta: float) -> float:
 def spontaneous_magnetization(beta: float) -> float:
     """Positive root of m = tanh(beta*m) for beta > 1, else 0.
 
-    Damped fixed-point iteration, with bisection as fallback when the
-    iteration has not settled to FIXED_POINT_TOL (it slows down near the
-    critical point where the root approaches 0).
+    Bisection on (0, 1]: a midpoint with tanh(beta*mid) > mid becomes lo,
+    any other becomes hi, until lo and hi are adjacent doubles.  hi is
+    returned, so tanh(beta*m) - m changes sign within one ulp below it.
     """
     if beta <= 0:
         raise ValueError(f"inverse temperature must be > 0, got {beta}")
     if beta <= 1.0:
         return 0.0
-    m = 0.9
-    for _ in range(200):
-        updated = 0.5 * (m + math.tanh(beta * m))
-        if abs(updated - m) < 0.1 * FIXED_POINT_TOL:
-            return updated
-        m = updated
-    lo, hi = 1e-16, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.tanh(beta * mid) - mid > 0.0:
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if math.tanh(beta * mid) > mid:
             lo = mid
         else:
             hi = mid
-        if hi - lo < FIXED_POINT_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def limiting_correlation(beta: float) -> float:

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .partitions import enumerate_pair_partitions, height, is_crossing
-from .sampler import child_seed
+from .sampler import Equicorrelated, GeneratorSpec, Independent, child_seed
 from .volumes import VolumeCache
 
 DEFAULT_SAMPLES = 200_000
@@ -33,6 +33,20 @@ def semicircle_moment(k: int) -> int:
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     return 0 if k % 2 else catalan(k // 2)
+
+
+def closed_form_moments(gen: GeneratorSpec) -> dict[int, tuple[float, float]]:
+    """Limiting moments known in closed form for ``gen``, as k -> (value, 0.0).
+
+    Equicorrelated(c) has m2 = 1 and m4 = 2 + (2/3)c^2; Independent is its
+    c = 0 case.  Other generators get no rows.
+    """
+    if isinstance(gen, Equicorrelated):
+        c = gen.c
+        return {2: (1.0, 0.0), 4: (2.0 + (2.0 / 3.0) * c * c, 0.0)}
+    if isinstance(gen, Independent):
+        return {2: (1.0, 0.0), 4: (2.0, 0.0)}
+    return {}
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._parallel import parallel_map, thread_count
-from .partitions import PairPartition, enumerate_pair_partitions, height
+from .partitions import PairPartition, blocks_cross, enumerate_pair_partitions, height
 
 COST_GUARD = 10**8
 MEMORY_GUARD = 2**29  # bytes of census arrays, as `_census_bytes` estimates them
@@ -222,9 +222,14 @@ def walk_census(n: int, k: int) -> WalkCensus:
     return WalkCensus(n, k, n**k, tallies, n**k - int(matched.sum()))
 
 
+def _scale(n: int, k: int) -> int:
+    """n^(k/2 + 1), the order of a partition's walk counts at size n."""
+    return n ** (k // 2 + 1)
+
+
 def opposed_ratio(census: WalkCensus, p: PairPartition) -> float:
     """Opposed-walk count normalized by n^(k/2 + 1)."""
-    return census.tallies[p.canonical()].opposed / census.n ** (census.k // 2 + 1)
+    return census.tallies[p.canonical()].opposed / _scale(census.n, census.k)
 
 
 def solution_ratio(census: WalkCensus, p: PairPartition) -> float:
@@ -234,7 +239,7 @@ def solution_ratio(census: WalkCensus, p: PairPartition) -> float:
     At k <= 6 it equals volume + (1 - volume)/n^2 at every size checked,
     against an O(1/n) shortfall for the opposed ratio.
     """
-    return census.tallies[p.canonical()].solutions / census.n ** (census.k // 2 + 1)
+    return census.tallies[p.canonical()].solutions / _scale(census.n, census.k)
 
 
 def extrapolated_opposed_ratio(p: PairPartition, n_grid: tuple[int, ...]) -> float:
@@ -282,34 +287,26 @@ def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
 
 
 def _decay_flags(ratios: list[float]) -> dict:
-    nonzero = any(r > 0 for r in ratios)
-    return {
-        "ratios": ratios,
-        "identically_zero": not nonzero,
-        "strictly_decreasing": all(a > b for a, b in zip(ratios, ratios[1:])),
-        "final_under_half": nonzero and ratios[-1] < 0.5 * ratios[0],
-    }
+    """A ratio sequence passes when it vanishes identically (the excess is
+    empty, so the bound holds exactly) or decreases strictly."""
+    zero = not any(r > 0 for r in ratios)
+    decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
+    return {"ratios": ratios, "identically_zero": zero, "strictly_decreasing": decreasing,
+            "pass": zero or decreasing}
 
 
 def check_sn_minus_snstar_decay(n_grid: tuple[int, ...], k: int) -> dict:
-    """Matched-but-not-opposed walks, normalized by n^(k/2+1), along a size grid.
-
-    A partition passes when its ratio either vanishes identically (the
-    excess is empty, so the bound holds exactly) or decreases strictly.
-    """
+    """Matched-but-not-opposed walks, normalized by n^(k/2+1), along a size grid;
+    each partition is judged by `_decay_flags`."""
     if len(n_grid) < 2:
         raise ValueError("need at least two sizes")
     censuses = {n: walk_census(n, k) for n in n_grid}
     report = {"n_grid": tuple(n_grid), "k": k, "partitions": {}}
     for p in enumerate_pair_partitions(k):
-        ratios = [
-            (censuses[n].tallies[p.canonical()].matched
-             - censuses[n].tallies[p.canonical()].opposed) / n ** (k // 2 + 1)
-            for n in n_grid
-        ]
-        flags = _decay_flags(ratios)
-        flags["pass"] = flags["identically_zero"] or flags["strictly_decreasing"]
-        report["partitions"][p.canonical()] = flags
+        tallies = [censuses[n].tallies[p.canonical()] for n in n_grid]
+        report["partitions"][p.canonical()] = _decay_flags(
+            [(t.matched - t.opposed) / _scale(n, k) for n, t in zip(n_grid, tallies)]
+        )
     report["ok"] = all(v["pass"] for v in report["partitions"].values())
     return report
 
@@ -327,25 +324,18 @@ def check_excess_crossing_decay(
         raise ValueError("need at least two sizes")
     if block not in p.blocks:
         raise ValueError(f"{block} is not a block of {p.canonical()}")
-    a, b = block
-    crossed = any(
-        (a < c < b < d) or (c < a < d < b) for c, d in p.blocks if (c, d) != block
-    )
-    if not crossed:
+    if not any(blocks_cross(block, other) for other in p.blocks):
         raise ValueError(f"block {block} of {p.canonical()} is not crossed by any other block")
-    ratios = [
-        walk_census(n, k).tallies[p.canonical()].block_ties[block] / n ** (k // 2 + 1)
-        for n in n_grid
-    ]
+    ratios = [walk_census(n, k).tallies[p.canonical()].block_ties[block] / _scale(n, k)
+              for n in n_grid]
     flags = _decay_flags(ratios)
-    flags["pass"] = flags["identically_zero"] or flags["strictly_decreasing"]
     return {"n_grid": tuple(n_grid), "k": k, "partition": p.canonical(),
             "block": block, **flags}
 
 
 def census_report(census: WalkCensus) -> dict:
     """JSON-ready report: per-partition counts, ratios and cell histograms."""
-    norm = census.n ** (census.k // 2 + 1)
+    norm = _scale(census.n, census.k)
     partitions = {}
     for key, tally in sorted(census.tallies.items()):
         partitions[key] = {

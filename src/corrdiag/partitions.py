@@ -89,12 +89,15 @@ def enumerate_pair_partitions(k: int) -> list[PairPartition]:
     return list(_all_pairings(k))
 
 
+def blocks_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """True iff blocks (a, b) and (c, d) interleave: a < c < b < d or c < a < d < b."""
+    (a, b), (c, d) = first, second
+    return a < c < b < d or c < a < d < b
+
+
 def is_crossing(p: PairPartition) -> bool:
     """True iff two blocks interleave as i < j < l < m with i~l and j~m."""
-    for (a, b), (c, d) in itertools.combinations(p.blocks, 2):
-        if a < c < b < d or c < a < d < b:
-            return True
-    return False
+    return any(blocks_cross(x, y) for x, y in itertools.combinations(p.blocks, 2))
 
 
 def height(p: PairPartition) -> int:

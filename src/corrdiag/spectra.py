@@ -15,30 +15,24 @@ TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSample:
-    n: int
-    eigenvalues: np.ndarray  # ascending
-
-
-def eigenvalues_symmetric(matrix: np.ndarray) -> SpectralSample:
+def eigenvalues_symmetric(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense symmetric matrix, sorted ascending."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
-    return SpectralSample(matrix.shape[0], np.linalg.eigvalsh(matrix))
+    return np.linalg.eigvalsh(matrix)
 
 
-def empirical_moments(sample: SpectralSample, kmax: int) -> np.ndarray:
+def empirical_moments(eigenvalues: np.ndarray, kmax: int) -> np.ndarray:
     """Vector of (1/n) * sum(lambda^k) for k = 1..kmax."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     out = np.empty(kmax)
-    acc = np.ones_like(sample.eigenvalues)
+    acc = np.ones_like(eigenvalues)
     for k in range(1, kmax + 1):
-        acc = acc * sample.eigenvalues
+        acc = acc * eigenvalues
         out[k - 1] = acc.mean()
     return out
 
@@ -105,11 +99,11 @@ def run_ensemble(
     edges = np.linspace(lo, hi, bins + 1)
 
     def one(r: int):
-        sample = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=seed))
-        counts, _ = np.histogram(sample.eigenvalues, bins=edges)
-        under = int((sample.eigenvalues < lo).sum())
-        over = int((sample.eigenvalues > hi).sum())
-        return empirical_moments(sample, kmax), counts, under, over
+        eigenvalues = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=seed))
+        counts, _ = np.histogram(eigenvalues, bins=edges)
+        under = int((eigenvalues < lo).sum())
+        over = int((eigenvalues > hi).sum())
+        return empirical_moments(eigenvalues, kmax), counts, under, over
 
     results = parallel_map(one, range(realizations))
     per = np.stack([row for row, _, _, _ in results])
@@ -142,13 +136,8 @@ def concentration_probe(
         raise ValueError(f"need at least 200 realizations, got {realizations}")
     fourth = []
     for n in n_grid:
-        child = child_seed(seed, n)
-
-        def one(r: int, n=n, child=child):
-            sample = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=child))
-            return float(np.sum(sample.eigenvalues**k))
-
-        traces = np.array(parallel_map(one, range(realizations)))
+        stats = run_ensemble(n, gen, realizations, kmax=k, seed=child_seed(seed, n))
+        traces = n * stats.per_realization[:, k - 1]
         fourth.append(float(np.mean((traces - traces.mean()) ** 4)))
     slope = float(np.polyfit(np.log(np.asarray(n_grid, float)), np.log(fourth), 1)[0])
     return {"n_grid": tuple(n_grid), "k": k, "fourth_central": fourth, "slope": slope}
@@ -162,6 +151,7 @@ def write_histogram_csv(stats: EnsembleStats, path: str | Path,
     ones) and bin width, so it integrates to the in-range mass.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     total = stats.total_count()
     widths = np.diff(stats.bin_edges)
     lines = [f"# {h}" for h in header_lines]
@@ -180,6 +170,7 @@ def write_moment_csv(rows: list[dict], path: str | Path,
                      header_lines: tuple[str, ...] = ()) -> Path:
     """CSV columns: k, empirical, SE, theoretical, theory_SE, z_score."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {h}" for h in header_lines]
     lines.append("k,empirical,SE,theoretical,theory_SE,z_score")
     for row in rows:

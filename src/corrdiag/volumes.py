@@ -37,25 +37,19 @@ _CHUNK = 1 << 18
 class SolvedSystem:
     """Triangular solution of the block relations for one pair partition.
 
-    ``determined`` maps each eliminated variable index to an affine form:
-    integer coefficients over ``free_vars`` (in that order) plus an integer
-    constant, which is always 0 here because every relation is a sum of two
+    ``determined`` pairs each eliminated variable index with its integer
+    coefficients over ``free_vars`` (in that order).  The forms are linear,
+    with no constant term, because every relation is a sum of two
     differences.
     """
 
     k: int
     free_vars: tuple[int, ...]
-    determined: tuple[tuple[int, tuple[int, ...], int], ...]
+    determined: tuple[tuple[int, tuple[int, ...]], ...]
 
     def coefficient_matrix(self) -> np.ndarray:
         """Rows = determined variables, columns = free variables."""
-        return np.array([coeffs for _, coeffs, _ in self.determined], dtype=np.float64)
-
-    def substitute(self, free_values: np.ndarray) -> np.ndarray:
-        """Evaluate every determined variable at the given free-variable values."""
-        free_values = np.asarray(free_values, dtype=np.float64)
-        consts = np.array([c for _, _, c in self.determined], dtype=np.float64)
-        return free_values @ self.coefficient_matrix().T + consts
+        return np.array([coeffs for _, coeffs in self.determined], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ def solve_partition_system(p: PairPartition) -> SolvedSystem:
     for j in sorted(resolved):
         row = resolved[j]
         assert all(row[d] == 0 for d in resolved), "elimination left a resolved index"
-        determined.append((j, tuple(int(row[v]) for v in free), 0))
+        determined.append((j, tuple(int(row[v]) for v in free)))
     return SolvedSystem(k, free, tuple(determined))
 
 

@@ -98,3 +98,13 @@ def test_run_acceptance_rejects_unknown():
         acceptance.run_acceptance((1, 42))
     with pytest.raises(ValueError):
         acceptance.run_acceptance((1,), tolerances={"bogus": 0})
+
+
+def test_run_acceptance_checks_every_number_before_running_any(monkeypatch, tmp_path):
+    def must_not_run(tol, seed, out_dir):
+        raise AssertionError("criterion ran before the selection was validated")
+
+    monkeypatch.setitem(acceptance._CRITERIA, 1, must_not_run)
+    with pytest.raises(ValueError, match="no criterion 42"):
+        acceptance.run_acceptance((1, 42), out_dir=tmp_path / "d")
+    assert not (tmp_path / "d").exists()

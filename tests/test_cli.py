@@ -229,10 +229,25 @@ def test_oracle_check_heights_out_file_is_header_then_report(tmp_path, capsys):
 
 
 def test_verify_subset_passes(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "verify", "--criteria", "1", "--out", str(tmp_path))
+    target = tmp_path / "d"
+    code, out, _ = run_cli(capsys, "verify", "--criteria", "1", "--out", str(target))
     assert code == 0
     assert "PASS criterion 1" in out
     assert "all 1 criteria passed" in out
+    assert not target.exists()  # criterion 1 writes no file
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "10", "--realizations", "0"),
+    ("simulate", "--n", "10", "--range", "5", "-5"),
+    ("verify", "--criteria", "42"),
+    ("verify", "--criteria", "1", "42"),
+])
+def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
+    target = tmp_path / "d"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not target.exists()
 
 
 def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys):

@@ -77,6 +77,15 @@ def test_fixed_point_solves_tanh_equation(beta):
     assert m == pytest.approx(math.tanh(beta * m), abs=1e-10)
 
 
+@pytest.mark.parametrize("beta", [1.001, 1.5, 2.0, 5.0, 50.0])
+def test_magnetization_brackets_root_to_one_ulp(beta):
+    def excess(m):
+        return math.tanh(beta * m) - m
+
+    m = spontaneous_magnetization(beta)
+    assert excess(math.nextafter(m, 0.0)) > 0.0 >= excess(m)
+
+
 def test_magnetization_increases_with_coupling():
     betas = (1.1, 1.5, 2.0, 3.0, 5.0)
     ms = [spontaneous_magnetization(b) for b in betas]

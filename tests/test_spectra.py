@@ -10,7 +10,7 @@ import pytest
 
 from corrdiag.sampler import Equicorrelated, Independent, build_matrix
 from corrdiag.spectra import (
-    SpectralSample,
+    EnsembleStats,
     concentration_probe,
     eigenvalues_symmetric,
     empirical_moments,
@@ -24,9 +24,7 @@ from corrdiag.spectra import (
 
 def test_eigenvalues_of_known_matrix():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    s = eigenvalues_symmetric(m)
-    assert s.eigenvalues == pytest.approx([1.0, 3.0])
-    assert s.n == 2
+    assert eigenvalues_symmetric(m) == pytest.approx([1.0, 3.0])
 
 
 def test_eigenvalues_rejects_bad_input():
@@ -38,15 +36,14 @@ def test_eigenvalues_rejects_bad_input():
 
 def test_empirical_vs_trace_power_routes():
     m = build_matrix(120, Equicorrelated(0.3), realization=0, seed=8)
-    s = eigenvalues_symmetric(m)
-    moments = empirical_moments(s, 12)
+    moments = empirical_moments(eigenvalues_symmetric(m), 12)
     for k in range(1, 13):
         assert moments[k - 1] == pytest.approx(trace_moment_direct(m, k), abs=1e-8)
 
 
 def test_trace_and_frobenius_identities():
     m = build_matrix(90, Independent(), realization=1, seed=8)
-    lam = eigenvalues_symmetric(m).eigenvalues
+    lam = eigenvalues_symmetric(m)
     assert lam.sum() == pytest.approx(np.trace(m), abs=1e-10 * 90)
     assert (lam**2).sum() == pytest.approx(np.linalg.norm(m, "fro") ** 2, abs=1e-10 * 90)
 
@@ -146,7 +143,39 @@ def test_concentration_probe_guards():
         concentration_probe((30, 60, 120), Independent(), 2, 50)
 
 
-def test_spectral_sample_immutable():
-    s = SpectralSample(2, np.array([1.0, 2.0]))
-    with pytest.raises(AttributeError):
-        s.n = 3
+# Exact bytes of both CSV writers for a hand-built ensemble: no eigvalsh runs,
+# so no BLAS thread setting can move a digit.  Row k=3 has zero spread.
+PINNED_HISTOGRAM = """\
+# corrdiag test
+# config: x
+# underflow=1 overflow=1
+bin_left,bin_right,count,density
+-1,-0.5,1,0.16666666666666666
+-0.5,0,3,0.5
+0,0.5,4,0.66666666666666663
+0.5,1,2,0.33333333333333331
+"""
+PINNED_MOMENTS = """\
+# corrdiag test
+k,empirical,SE,theoretical,theory_SE,z_score
+2,1.0123456789,0.02,1,0,0.61728394500000228
+3,-0.002,0,0,0,-inf
+4,2.25,0.10000000000000001,2.1666666666666665,0.050000000000000003,0.74535599249993112
+"""
+
+
+def test_csv_writers_pinned_bytes(tmp_path):
+    stats = EnsembleStats(
+        n=3, realizations=4, generator=Equicorrelated(0.5), seed=7, kmax=4,
+        per_realization=np.zeros((4, 4)),
+        moments=np.array([0.015625, 1.0123456789, -0.002, 2.25]),
+        moment_se=np.array([0.001, 0.02, 0.0, 0.1]),
+        bin_edges=np.linspace(-1.0, 1.0, 5),
+        counts=np.array([1, 3, 4, 2]), underflow=1, overflow=1,
+    )
+    hist = write_histogram_csv(stats, tmp_path / "h.csv", ("corrdiag test", "config: x"))
+    theory = {2: (1.0, 0.0), 3: (0.0, 0.0), 4: (2.0 + (2.0 / 3.0) * 0.5 * 0.5, 0.05)}
+    rows = moment_comparison_rows(stats, theory)
+    moments = write_moment_csv(rows, tmp_path / "m.csv", ("corrdiag test",))
+    assert hist.read_text() == PINNED_HISTOGRAM
+    assert moments.read_text() == PINNED_MOMENTS

@@ -30,8 +30,8 @@ def test_solved_system_shape():
     p = PairPartition.from_string("1-3,2-4")
     sys_ = solve_partition_system(p)
     assert sys_.free_vars == (0, 1, 2)
-    assert [j for j, _, _ in sys_.determined] == [3, 4]
-    by_var = {j: coeffs for j, coeffs, _ in sys_.determined}
+    assert [j for j, _ in sys_.determined] == [3, 4]
+    by_var = dict(sys_.determined)
     # x3 = x0 - x1 + x2 from block (1,3); x4 collapses to x0 (closed walk)
     assert by_var[3] == (1, -1, 1)
     assert by_var[4] == (1, 0, 0)
@@ -47,10 +47,9 @@ def test_free_variable_count(p):
 
 @given(st.sampled_from(all_partitions(8)))
 def test_determined_coefficients_sum_to_one(p):
-    # every eliminated coordinate is an integer combination of free ones,
-    # with zero constant term and coefficients summing to 1
-    for _, coeffs, const in solve_partition_system(p).determined:
-        assert const == 0
+    # every eliminated coordinate is an integer combination of free ones
+    # with coefficients summing to 1
+    for _, coeffs in solve_partition_system(p).determined:
         assert sum(coeffs) == 1
         assert all(isinstance(c, int) for c in coeffs)
 
@@ -61,10 +60,9 @@ def test_back_substitution_satisfies_relations(p, seed):
     sys_ = solve_partition_system(p)
     rng = np.random.default_rng(seed)
     free_vals = rng.uniform(-2, 2, size=len(sys_.free_vars))
-    determined_vals = sys_.substitute(free_vals)
     x = np.empty(p.k + 1)
     x[list(sys_.free_vars)] = free_vals
-    x[[j for j, _, _ in sys_.determined]] = determined_vals
+    x[[j for j, _ in sys_.determined]] = sys_.coefficient_matrix() @ free_vals
     for i, j in p.blocks:
         assert x[i] - x[i - 1] + x[j] - x[j - 1] == pytest.approx(0, abs=1e-12)
 
