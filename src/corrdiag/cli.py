@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .curie_weiss import limiting_correlation, pair_correlation, spontaneous_magnetization
@@ -141,7 +139,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_matrix:
         matrix = build_matrix(args.n, gen, realization=0, seed=args.seed)
         dump = out_dir / "matrix_upper.f64"
-        matrix[np.triu_indices(args.n)].tofile(dump)
+        with dump.open("wb") as fh:
+            for i in range(args.n):
+                matrix[i, i:].tofile(fh)
         print(f"wrote {dump} ({args.n}*({args.n}+1)/2 float64, row-major upper triangle)")
     return 0
 

@@ -93,6 +93,10 @@ def run_ensemble(
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     lo, hi = hist_range
     if not lo < hi:
         raise ValueError(f"histogram range must be increasing, got {hist_range}")

@@ -79,6 +79,17 @@ def test_run_ensemble_single_realization_has_zero_se():
     assert np.all(stats.moment_se == 0.0)
 
 
+@pytest.mark.parametrize("bad", [{"kmax": 0}, {"bins": 0}])
+def test_run_ensemble_rejects_bad_shape_before_sampling(monkeypatch, bad):
+    import corrdiag.spectra as spectra
+
+    built = []
+    monkeypatch.setattr(spectra, "build_matrix", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError):
+        run_ensemble(10, Independent(), 2, seed=0, **bad)
+    assert built == []
+
+
 def test_thread_count_does_not_change_results():
     baseline = run_ensemble(60, Equicorrelated(0.25), 6, kmax=4, seed=11)
     env_before = os.environ.get("CORRDIAG_THREADS")

@@ -10,6 +10,8 @@ from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_cro
 from corrdiag.volumes import (
     VolumeCache,
     VolumeEstimate,
+    _chunk_hits,
+    _rows_that_can_fail,
     solve_partition_system,
     toeplitz_volume,
 )
@@ -116,6 +118,44 @@ def test_chunking_invisible_in_results():
     finally:
         vol._CHUNK = old
     assert big.value == small.value
+
+
+def reference_hits(seed, start, count, matrix):
+    # the plain kernel: every row of the full coefficient matrix, tested per point
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    bits.advance(start * matrix.shape[1] // 4)
+    points = np.random.Generator(bits).random((count, matrix.shape[1]))
+    values = points @ matrix.T
+    return int(((values >= 0) & (values <= 1)).all(axis=1).sum())
+
+
+@pytest.mark.parametrize("start", [0, 4 * 9973])
+def test_chunk_hits_match_full_matrix_reference(start):
+    crossing = [p for p in all_partitions(8) if is_crossing(p)]
+    assert len(crossing) == 1 + 10 + 91
+    for p in crossing:
+        full = solve_partition_system(p).coefficient_matrix()
+        rows = _rows_that_can_fail(full)
+        expected = reference_hits(5, start, 3000, full)
+        assert _chunk_hits(5, start, 3000, rows) == expected, p.canonical()
+        assert _chunk_hits(5, start, 3000, full) == expected, p.canonical()
+
+
+def test_rows_that_can_fail_drop_unit_and_repeated_rows():
+    # x4 = x0 is a unit row; the remaining row x3 = x0 - x1 + x2 can fail
+    full = solve_partition_system(PairPartition.from_string("1-3,2-4")).coefficient_matrix()
+    assert _rows_that_can_fail(full).tolist() == [[1.0, -1.0, 1.0]]
+    doubled = np.vstack([full, full, np.eye(3)])
+    assert _rows_that_can_fail(doubled).tolist() == [[1.0, -1.0, 1.0]]
+
+
+@pytest.mark.parametrize("canonical, hits", [
+    ("1-6,2-7,3-8,4-9,5-10", 13363),
+    ("1-3,2-5,4-7,6-9,8-10", 10868),
+])
+def test_k10_hit_counts_pinned(canonical, hits):
+    est = toeplitz_volume(PairPartition.from_string(canonical), 40_000, 1)
+    assert est.value == hits / 40_000
 
 
 def test_cache_roundtrip(tmp_path):
