@@ -240,10 +240,10 @@ def test_verify_subset_passes(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--n", "10", "--realizations", "0"),
     ("simulate", "--n", "10", "--range", "5", "-5"),
-    ("simulate", "--n", "10", "--bins", "0"),
-    ("simulate", "--n", "10", "--k", "0"),
     ("verify", "--criteria", "42"),
     ("verify", "--criteria", "1", "42"),
+    ("simulate", "--n", "10", "--bins", "0"),
+    ("simulate", "--n", "10", "--k", "0"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"
