@@ -27,6 +27,16 @@ Both the census and the search for a walk below the cell bound scan
 chunks this way.  A walk's |step| mask equals at most one partition's
 signature, so one sorted lookup assigns each walk of a chunk to its
 partition and `np.bincount` tallies every partition in that one pass.
+
+The census tallies only the chunks p_1 < n/2 (0-based) and counts each
+twice, plus the middle chunk once when n is odd.  The reflection
+p -> n-1-p of every site maps the walks starting at p_1 one to one onto
+those starting at n-1-p_1 and negates every step.  That keeps |d_i| = |d_j|,
+d_i = -d_j, and both shared-cell tests (p_i = p_j with d_i = d_j,
+p_i = p_{j+1} with d_i = -d_j), so the two chunks tally the same counts
+and the chunks p_1 >= n/2 need not be scanned.  The search for a walk
+below the cell bound still scans every chunk in order, because it returns
+the first such walk.
 """
 
 from __future__ import annotations
@@ -205,8 +215,11 @@ def walk_census(n: int, k: int) -> WalkCensus:
     ordered = sorted(signature, key=signature.get)
     signatures = np.array([signature[key] for key in ordered], dtype=interior.masks.dtype)
 
-    chunks = parallel_map(lambda p1: _chunk_tallies(interior, p1, signatures), range(n))
-    matched, opposed, solutions, cells, ties = (sum(column) for column in zip(*chunks))
+    # chunk n-1-p1 is the mirror image of chunk p1: scan the lower half, count it twice
+    chunks = parallel_map(lambda p1: _chunk_tallies(interior, p1, signatures), range((n + 1) // 2))
+    weights = [2] * (n // 2) + [1] * (n % 2)
+    matched, opposed, solutions, cells, ties = (
+        sum(w * tally for w, tally in zip(weights, column)) for column in zip(*chunks))
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
     for p in partitions:

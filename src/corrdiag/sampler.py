@@ -22,6 +22,11 @@ per-size ensemble seeds) is ``child_seed(seed, *key)``, the first 64-bit
 word of the child stream SeedSequence(seed, spawn_key=key).  Normals are drawn
 by inverse CDF (ndtri) on 53-bit uniforms offset to the open interval, a
 choice fixed here because bit-exact reproducibility is promised.
+
+Memory guard: `build_matrix` (8n^2 bytes), `spectra.run_ensemble` (8n^2
+bytes per worker thread) and `validate_conditions` (2 * draws * n float64
+values) reject a size whose float64 arrays would exceed MATRIX_GUARD bytes
+before they allocate anything.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .curie_weiss import pair_correlation, sample_spins
+
+MATRIX_GUARD = 2**30  # bytes of float64 arrays one call may allocate
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,18 @@ def child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def check_matrix_bytes(need: int, what: str) -> None:
+    """Reject ``need`` bytes of float64 arrays over MATRIX_GUARD, naming ``what``."""
+    if need > MATRIX_GUARD:
+        raise ValueError(f"{what} needs about {need / 2**20:.0f} MiB of float64 arrays, "
+                         f"over the memory guard of {MATRIX_GUARD / 2**20:.0f} MiB")
+
+
 def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0) -> np.ndarray:
     """One realization of the scaled symmetric matrix as a dense float array."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
+    check_matrix_bytes(8 * n * n, f"an n={n} matrix")
     a = np.empty((n, n))
     flat = a.reshape(-1)
     scale = math.sqrt(n)
@@ -138,6 +153,7 @@ def validate_conditions(gen: GeneratorSpec, n: int, draws: int, seed: int = 0) -
         raise ValueError(f"need at least 1000 draws for stable flags, got {draws}")
     if n < 3:
         raise ValueError(f"need n >= 3 to compare two diagonals, got {n}")
+    check_matrix_bytes(16 * draws * n, f"{draws} draws of two diagonals at n={n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     first = np.stack([sample_diagonal(gen, n, rng) for _ in range(draws)])
     second = np.stack([sample_diagonal(gen, n - 1, rng) for _ in range(draws)])

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .sampler import GeneratorSpec, build_matrix, child_seed
+from ._parallel import parallel_map, thread_count
+from .sampler import GeneratorSpec, build_matrix, check_matrix_bytes, child_seed
 
 TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
@@ -89,7 +89,9 @@ def run_ensemble(
 
     Per-realization results are collected into arrays indexed by the
     realization number and reduced at the end, so the aggregate does not
-    depend on scheduling order.
+    depend on scheduling order.  A size whose matrices in flight (one per
+    worker thread) would exceed `sampler.MATRIX_GUARD` is rejected before
+    the first sample.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -100,6 +102,8 @@ def run_ensemble(
     lo, hi = hist_range
     if not lo < hi:
         raise ValueError(f"histogram range must be increasing, got {hist_range}")
+    threads = thread_count()
+    check_matrix_bytes(8 * n * n * threads, f"n={n} matrices on {threads} thread(s)")
     edges = np.linspace(lo, hi, bins + 1)
 
     def one(r: int):

@@ -209,6 +209,24 @@ def test_oracle_memory_guard_exits_before_allocating(capsys):
         assert peak < 2**22  # the census would need over a gigabyte
 
 
+def test_matrix_memory_guard_exits_before_allocating(tmp_path, capsys):
+    import tracemalloc
+
+    target = tmp_path / "d"
+    for argv in (("simulate", "--n", "200000", "--out", str(target)),
+                 ("simulate", "--n", "20000", "--check-conditions")):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "memory guard" in err
+        assert peak < 2**22  # the arrays would need over a hundred gigabytes
+        assert not target.exists()
+
+
 def test_oracle_check_heights(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--k", "4", "--check-heights")
     assert code == 0

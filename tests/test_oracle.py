@@ -1,6 +1,8 @@
 """Exhaustive walk counts over the cyclic index space."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,10 @@ import pytest
 
 from corrdiag.oracle import (
     _check_cost,
+    _chunk_tallies,
     _find_low_cell_walk,
+    _interior,
+    _signature,
     census_report,
     check_excess_crossing_decay,
     check_cell_bound,
@@ -221,8 +226,6 @@ def test_excess_crossing_decay_rejects_bad_block():
 
 
 def test_census_report_serializable():
-    import json
-
     report = census_report(walk_census(5, 4))
     text = json.dumps(report)
     back = json.loads(text)
@@ -259,7 +262,7 @@ def _brute_force_census(n, k):
     return counts, nonpair
 
 
-@pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8)])
+@pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8), (1, 4), (4, 4), (4, 6)])
 def test_census_matches_brute_force(n, k):
     expected, nonpair = _brute_force_census(n, k)
     census = walk_census(n, k)
@@ -298,3 +301,44 @@ def test_mask_width_guard_rejects_k12():
     # k=12 has 66 step pairs, more than one int64 bitmask can hold
     with pytest.raises(ValueError, match="step pairs"):
         walk_census(2, 12)
+
+
+@pytest.mark.parametrize("n,k", [(1, 4), (6, 4), (7, 4), (1, 6), (4, 6), (5, 6), (2, 8), (3, 8)])
+def test_reflected_chunks_tally_the_same_counts(n, k):
+    # p -> n-1-p maps the walks from p1 onto those from n-1-p1 and negates
+    # every step, which the census relies on to scan only half the chunks
+    interior = _interior(n, k)
+    signatures = np.array(sorted(_signature(p, interior.pair_index)
+                                 for p in enumerate_pair_partitions(k)), dtype=interior.masks.dtype)
+    for p1 in range(n):
+        here = _chunk_tallies(interior, p1, signatures)
+        mirror = _chunk_tallies(interior, n - 1 - p1, signatures)
+        for a, b in zip(here, mirror):
+            assert np.array_equal(a, b)
+
+
+# SHA-256 of the indented, key-sorted census_report JSON and of the
+# key-sorted {partition: solutions} JSON, recorded with the census that
+# scanned every p1 chunk
+PINNED_CENSUS = {
+    (20, 4): ("9407ca5f5f32b21d6c59b2582f18f7e103eb801bb810b3ce1de6d16c5e3d3e6d",
+              "b3e516734e2cb64d2db2e526f48d00ce8869630303c569af9d502ab18a9326e8"),
+    (9, 6): ("37e8d8f7e39c22388112c9e86254058a0acc54f60b8f571fc3f4f94f874d58c8",
+             "398600bfbffb9791db33a27c1addb375a15e96cf419a2c22a44f390a54f920a1"),
+    (8, 6): ("d149e2591c3b7cda8f5ce921698eb001e88bb53312523b5c666d455ac605acef",
+             "c1a18178b5063f5b8f28611ff49dc6319d5a8f30f13a909712cbad81aeb54e39"),
+    (4, 8): ("b12186e3dd7f0d7c77a401e985be9b2d37d4fe2ebab246868abb170118e4e022",
+             "21a61579d3e89c838b4c3fc9a92044d21643885bdf4bea87c89232d3694951d4"),
+    (3, 8): ("ed590c5de7403db079cb30f4eef1bc9bc42661d858d06310cad0f6771cd5ea2d",
+             "79a4e19decdbf972627b1cbbe304b5075c1e29d72babb4b35b932fec83169906"),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(PINNED_CENSUS))
+def test_census_pinned_bytes(n, k):
+    census = walk_census(n, k)
+    report = json.dumps(census_report(census), indent=2, sort_keys=True)
+    solutions = json.dumps({key: t.solutions for key, t in sorted(census.tallies.items())},
+                           sort_keys=True)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
+    assert digests == PINNED_CENSUS[(n, k)]

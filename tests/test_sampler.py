@@ -12,6 +12,7 @@ from corrdiag.sampler import (
     Independent,
     Toeplitz,
     build_matrix,
+    check_matrix_bytes,
     child_seed,
     diagonal_rng,
     sample_diagonal,
@@ -101,6 +102,15 @@ def test_validate_conditions_rejects_tiny_runs():
         validate_conditions(Independent(), 8, draws=10)
     with pytest.raises(ValueError):
         validate_conditions(Independent(), 2, draws=2000)
+
+
+def test_matrix_guard_accepts_benchmark_sizes_and_rejects_huge_ones():
+    # n = 1000 matrices on 2 threads and the CLI's condition check at n = 1000
+    # (20 draws per site) stay under the guard; n = 20000 is rejected unbuilt
+    check_matrix_bytes(8 * 1000**2 * 2, "ensemble")
+    check_matrix_bytes(16 * 20 * 1000 * 1000, "conditions")
+    with pytest.raises(ValueError, match="memory guard"):
+        build_matrix(20000, Independent())
 
 
 def test_gaussian_tails_present():

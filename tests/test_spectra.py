@@ -90,6 +90,18 @@ def test_run_ensemble_rejects_bad_shape_before_sampling(monkeypatch, bad):
     assert built == []
 
 
+def test_run_ensemble_guard_counts_one_matrix_per_thread(monkeypatch):
+    import corrdiag.spectra as spectra
+
+    # one n=10000 matrix fits the guard, two in flight do not
+    built = []
+    monkeypatch.setattr(spectra, "build_matrix", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setenv("CORRDIAG_THREADS", "2")
+    with pytest.raises(ValueError, match="memory guard"):
+        run_ensemble(10000, Independent(), 2, seed=0)
+    assert built == []
+
+
 def test_thread_count_does_not_change_results():
     baseline = run_ensemble(60, Equicorrelated(0.25), 6, kmax=4, seed=11)
     env_before = os.environ.get("CORRDIAG_THREADS")
