@@ -9,7 +9,7 @@ from .curie_weiss import (
     sample_spins,
     spontaneous_magnetization,
 )
-from .moments import MomentValue, catalan, closed_form_moments, limiting_moment, semicircle_moment
+from .moments import MomentValue, catalan, closed_form_moments, limiting_moment
 from .oracle import (
     census_report,
     check_excess_crossing_decay,
@@ -22,7 +22,6 @@ from .oracle import (
 )
 from .partitions import (
     PairPartition,
-    count_noncrossing,
     enumerate_pair_partitions,
     height,
     is_crossing,
@@ -57,13 +56,11 @@ __all__ = [
     "enumerate_pair_partitions",
     "is_crossing",
     "height",
-    "count_noncrossing",
     "toeplitz_volume",
     "solve_partition_system",
     "VolumeCache",
     "VolumeEstimate",
     "limiting_moment",
-    "semicircle_moment",
     "closed_form_moments",
     "catalan",
     "MomentValue",

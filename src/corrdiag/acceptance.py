@@ -177,7 +177,7 @@ def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     worst = 0.0
     for c in tol["moment_c_grid"]:
         m = limiting_moment(4, c, cache, tol["volume_samples"], seed)
-        target = 2.0 + (2.0 / 3.0) * c * c
+        target, _ = closed_form_moments(Equicorrelated(c))[4]
         gap = abs(m.value - target)
         allowed = band * m.std_error
         if c == 0:
@@ -239,15 +239,14 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Independent(), tol["endpoint_independent_realizations"],
         kmax=4, seed=child_seed(seed, 5, 0),
     )
-    z = _z(stats, 4, 2.0)
+    z = _z(stats, 4, *closed_form_moments(Independent())[4])
     ok &= abs(z) <= band
     details.append(
         f"independent: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs 2 "
         f"(R={tol['endpoint_independent_realizations']})"
     )
 
-    cache = VolumeCache()
-    theory = limiting_moment(4, 1.0, cache, tol["volume_samples"], seed)
+    theory = limiting_moment(4, 1.0, samples=tol["volume_samples"], seed=seed)
     stats = run_ensemble(
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
@@ -288,8 +287,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         f"(final {gaps[-1]:.2e} < {tol['cw_final_gap']})"
     )
 
-    cache = VolumeCache()
-    theory = limiting_moment(4, c2, cache, tol["volume_samples"], seed)
+    theory = limiting_moment(4, c2, samples=tol["volume_samples"], seed=seed)
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
         tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
@@ -301,7 +299,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["cw_n"], CurieWeiss(tol["cw_subcritical_beta"]),
         tol["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
     )
-    z_cold = _z(stats, 4, 2.0)
+    z_cold = _z(stats, 4, *closed_form_moments(Independent())[4])
     ok &= abs(z_cold) <= band
     details.append(
         f"ensembles at n={tol['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory.value:.5f}; "
@@ -325,13 +323,12 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     details.append(f"shared cells >= height on every opposed walk, k <= 6, "
                    f"n <= {tol['cell_bound_max_n']}: {bound_ok}")
 
-    cache = VolumeCache()
     for k, offset in ((4, 0), (6, 100)):
         n, allowed = tol[f"oracle_k{k}_n"], tol[f"oracle_k{k}_gap"]
         census = walk_census(n, k)
         worst = 0.0
         for index, p in enumerate(enumerate_pair_partitions(k)):
-            vol = cache.ensure(p, tol["volume_samples"], child_seed(seed, 7, offset + index)).value
+            vol = toeplitz_volume(p, tol["volume_samples"], child_seed(seed, 7, offset + index)).value
             worst = max(worst, abs(solution_ratio(census, p) - vol))
         ratio_ok = worst <= allowed
         ok &= ratio_ok

@@ -1,11 +1,9 @@
 """Command-line front end.
 
-Every file the CLI writes starts with ``#``-prefixed header lines; those of
-the ``verify`` CSVs name the criterion and generator, all others echo the
-package version and the exact run configuration.  Headers carry no
-timestamps, so rerunning a command with the same arguments reproduces the
-output byte for byte.  Output directories are created by the first file
-written into them.
+Every text output goes through `spectra.write_lines`, which states the file
+contract.  The header lines of the ``verify`` CSVs name the criterion and
+generator; all others echo the package version and the exact run
+configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .oracle import (
     check_cell_bound,
     walk_census,
 )
-from .partitions import PairPartition, count_noncrossing, enumerate_pair_partitions, height, is_crossing
+from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import (
     CurieWeiss,
     Equicorrelated,
@@ -35,8 +33,15 @@ from .sampler import (
     child_seed,
     validate_conditions,
 )
-from .spectra import run_ensemble, write_histogram_csv, write_moment_csv, moment_comparison_rows
-from .volumes import VolumeCache
+from .spectra import (
+    moment_comparison_rows,
+    render,
+    run_ensemble,
+    write_histogram_csv,
+    write_lines,
+    write_moment_csv,
+)
+from .volumes import VolumeCache, toeplitz_volume
 
 
 def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -> list[str]:
@@ -46,13 +51,10 @@ def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -
 
 
 def _write_lines(path: Path | None, header: list[str], rows: list[str]) -> None:
-    text = "".join(f"# {line}\n" for line in header) + "".join(f"{row}\n" for row in rows)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(render(header, rows))
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(f"wrote {path}")
+        print(f"wrote {write_lines(path, header, rows)}")
 
 
 def _generator_from(args: argparse.Namespace) -> GeneratorSpec:
@@ -71,22 +73,19 @@ def _generator_from(args: argparse.Namespace) -> GeneratorSpec:
 def cmd_partitions(args: argparse.Namespace) -> int:
     rows = ["canonical,crossing,height"]
     parts = enumerate_pair_partitions(args.k)
-    for p in parts:
-        rows.append(f"{p.canonical()},{int(is_crossing(p))},{height(p)}")
-    rows.append(f"# total={len(parts)} noncrossing={count_noncrossing(args.k)}")
+    flags = [is_crossing(p) for p in parts]
+    for p, crossing in zip(parts, flags):
+        rows.append(f"{p.canonical()},{int(crossing)},{height(p)}")
+    rows.append(f"# total={len(parts)} noncrossing={flags.count(False)}")
     _write_lines(args.out, _header(args), rows)
     return 0
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
     p = PairPartition.from_string(args.partition)
-    cache = VolumeCache(args.cache)
-    est = cache.ensure(p, args.samples, args.seed)
-    if args.cache is not None:
-        cache.save(args.cache, _header(args))
     rows = [
         "# columns: partition samples seed value std_error exact",
-        cache.format_line(p.canonical(), est),
+        VolumeCache.format_line(p.canonical(), toeplitz_volume(p, args.samples, args.seed)),
     ]
     _write_lines(args.out, _header(args), rows)
     return 0
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition", help='canonical form, e.g. "1-3,2-4"')
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache", type=Path, default=None, help="volume cache file to reuse and update")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_volume)
 

@@ -28,13 +28,6 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def semicircle_moment(k: int) -> int:
-    """k-th moment of the unit-variance semicircle: Catalan for even k, 0 for odd."""
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    return 0 if k % 2 else catalan(k // 2)
-
-
 def closed_form_moments(gen: GeneratorSpec) -> dict[int, tuple[float, float]]:
     """Limiting moments known in closed form for ``gen``, as k -> (value, 0.0).
 

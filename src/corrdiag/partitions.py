@@ -120,8 +120,3 @@ def height(p: PairPartition) -> int:
             assert (b - a - 1) % 2 == 0
             total += 1
     return total
-
-
-def count_noncrossing(k: int) -> int:
-    """Number of non-crossing pairings of {1,...,k}."""
-    return sum(1 for p in enumerate_pair_partitions(k) if not is_crossing(p))

@@ -24,9 +24,9 @@ by inverse CDF (ndtri) on 53-bit uniforms offset to the open interval, a
 choice fixed here because bit-exact reproducibility is promised.
 
 Memory guard: `build_matrix` (8n^2 bytes), `spectra.run_ensemble` (8n^2
-bytes per worker thread) and `validate_conditions` (2 * draws * n float64
-values) reject a size whose float64 arrays would exceed MATRIX_GUARD bytes
-before they allocate anything.
+bytes per worker thread) and `validate_conditions` (about 3 * draws * n
+float64 values) reject a size whose float64 arrays would exceed MATRIX_GUARD
+bytes before they allocate anything.
 """
 
 from __future__ import annotations
@@ -153,10 +153,17 @@ def validate_conditions(gen: GeneratorSpec, n: int, draws: int, seed: int = 0) -
         raise ValueError(f"need at least 1000 draws for stable flags, got {draws}")
     if n < 3:
         raise ValueError(f"need n >= 3 to compare two diagonals, got {n}")
-    check_matrix_bytes(16 * draws * n, f"{draws} draws of two diagonals at n={n}")
+    # first and second, one draws x n temporary at a time, four vectors of
+    # length draws, and the buffer of one NumPy ufunc call
+    need = 8 * (draws * (3 * n + 4) + np.getbufsize())
+    check_matrix_bytes(need, f"{draws} draws of two diagonals at n={n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    first = np.stack([sample_diagonal(gen, n, rng) for _ in range(draws)])
-    second = np.stack([sample_diagonal(gen, n - 1, rng) for _ in range(draws)])
+    first = np.empty((draws, n))
+    for row in first:
+        row[:] = sample_diagonal(gen, n, rng)
+    second = np.empty((draws, n - 1))
+    for row in second:
+        row[:] = sample_diagonal(gen, n - 1, rng)
 
     mean = float(first.mean())
     variance = float(first.var())

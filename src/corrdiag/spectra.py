@@ -1,8 +1,9 @@
-"""Eigenvalues, empirical moments, ensembles, and their CSV artifacts."""
+"""Eigenvalues, empirical moments, ensembles, and the one text-file writer."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,8 +62,6 @@ class EnsembleStats:
 
     n: int
     realizations: int
-    generator: GeneratorSpec
-    seed: int
     kmax: int
     per_realization: np.ndarray  # (realizations, kmax)
     moments: np.ndarray
@@ -124,7 +123,7 @@ def run_ensemble(
     else:
         moment_se = np.zeros(kmax)
     return EnsembleStats(
-        n, realizations, gen, seed, kmax, per, moments, moment_se,
+        n, realizations, kmax, per, moments, moment_se,
         edges, counts, underflow, overflow,
     )
 
@@ -151,6 +150,21 @@ def concentration_probe(
     return {"n_grid": tuple(n_grid), "k": k, "fourth_central": fourth, "slope": slope}
 
 
+def render(header: Iterable[str], rows: Iterable[str]) -> str:
+    """Text of every corrdiag output: ``# `` header lines, then the rows, each
+    line ending in a newline.  Headers carry no timestamps, so the same
+    inputs give the same bytes on every run."""
+    return "".join(f"# {line}\n" for line in header) + "".join(f"{row}\n" for row in rows)
+
+
+def write_lines(path: str | Path, header: Iterable[str], rows: Iterable[str]) -> Path:
+    """Write ``render(header, rows)`` to ``path``, creating its parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(render(header, rows))
+    return path
+
+
 def write_histogram_csv(stats: EnsembleStats, path: str | Path,
                         header_lines: tuple[str, ...] = ()) -> Path:
     """CSV columns: bin_left, bin_right, count, density.
@@ -158,36 +172,28 @@ def write_histogram_csv(stats: EnsembleStats, path: str | Path,
     Density normalizes by total eigenvalue count (including out-of-range
     ones) and bin width, so it integrates to the in-range mass.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     total = stats.total_count()
     widths = np.diff(stats.bin_edges)
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(f"# underflow={stats.underflow} overflow={stats.overflow}")
-    lines.append("bin_left,bin_right,count,density")
+    rows = ["bin_left,bin_right,count,density"]
     for left, right, count, width in zip(
         stats.bin_edges[:-1], stats.bin_edges[1:], stats.counts, widths
     ):
         density = count / (total * width)
-        lines.append(f"{left:.17g},{right:.17g},{int(count)},{density:.17g}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        rows.append(f"{left:.17g},{right:.17g},{int(count)},{density:.17g}")
+    header = (*header_lines, f"underflow={stats.underflow} overflow={stats.overflow}")
+    return write_lines(path, header, rows)
 
 
 def write_moment_csv(rows: list[dict], path: str | Path,
                      header_lines: tuple[str, ...] = ()) -> Path:
     """CSV columns: k, empirical, SE, theoretical, theory_SE, z_score."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("k,empirical,SE,theoretical,theory_SE,z_score")
+    lines = ["k,empirical,SE,theoretical,theory_SE,z_score"]
     for row in rows:
         lines.append(
             f"{row['k']},{row['empirical']:.17g},{row['SE']:.17g},"
             f"{row['theoretical']:.17g},{row['theory_SE']:.17g},{row['z_score']:.17g}"
         )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_lines(path, header_lines, lines)
 
 
 def moment_comparison_rows(stats: EnsembleStats, theory: dict[int, tuple[float, float]]) -> list[dict]:

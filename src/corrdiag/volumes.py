@@ -34,6 +34,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .partitions import PairPartition, is_crossing
+from .spectra import write_lines
 
 # Chunk length for Monte Carlo; a multiple of 4 keeps every chunk start
 # aligned with a Philox counter-block boundary for any point dimension.
@@ -184,9 +185,5 @@ class VolumeCache:
             self._entries[key] = estimate
 
     def save(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> Path:
-        target = Path(path)
-        lines = [f"# {h}" for h in header_lines]
-        lines += [self.format_line(k, e) for k, e in sorted(self._entries.items())]
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(lines) + "\n")
-        return target
+        rows = [self.format_line(k, e) for k, e in sorted(self._entries.items())]
+        return write_lines(path, header_lines, rows)

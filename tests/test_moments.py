@@ -9,7 +9,6 @@ from corrdiag.moments import (
     MomentValue,
     catalan,
     limiting_moment,
-    semicircle_moment,
 )
 from corrdiag.volumes import VolumeCache
 
@@ -21,11 +20,6 @@ M4_FULL_CORRELATION = 8.0 / 3.0
 
 def test_catalan_small_values():
     assert [catalan(m) for m in range(7)] == [1, 1, 2, 5, 14, 42, 132]
-
-
-def test_semicircle_moments():
-    assert semicircle_moment(3) == 0.0
-    assert semicircle_moment(8) == float(catalan(4))
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

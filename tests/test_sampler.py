@@ -108,9 +108,32 @@ def test_matrix_guard_accepts_benchmark_sizes_and_rejects_huge_ones():
     # n = 1000 matrices on 2 threads and the CLI's condition check at n = 1000
     # (20 draws per site) stay under the guard; n = 20000 is rejected unbuilt
     check_matrix_bytes(8 * 1000**2 * 2, "ensemble")
-    check_matrix_bytes(16 * 20 * 1000 * 1000, "conditions")
+    check_matrix_bytes(8 * (20 * 1000 * (3 * 1000 + 4) + np.getbufsize()), "conditions")
     with pytest.raises(ValueError, match="memory guard"):
         build_matrix(20000, Independent())
+
+
+@pytest.mark.parametrize("n, draws", [(200, 4000), (50, 1000)])
+def test_validate_conditions_peak_within_guard_estimate(monkeypatch, n, draws):
+    import tracemalloc
+
+    from corrdiag import sampler
+
+    estimates = []
+
+    def record(need, what):
+        estimates.append(need)
+        check_matrix_bytes(need, what)
+
+    monkeypatch.setattr(sampler, "check_matrix_bytes", record)
+    for gen in (Equicorrelated(0.5), CurieWeiss(2.0)):
+        tracemalloc.start()
+        try:
+            validate_conditions(gen, n, draws=draws, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * estimates[-1] <= peak <= estimates[-1], (gen, peak, estimates[-1])
 
 
 def test_gaussian_tails_present():

@@ -189,7 +189,7 @@ k,empirical,SE,theoretical,theory_SE,z_score
 
 def test_csv_writers_pinned_bytes(tmp_path):
     stats = EnsembleStats(
-        n=3, realizations=4, generator=Equicorrelated(0.5), seed=7, kmax=4,
+        n=3, realizations=4, kmax=4,
         per_realization=np.zeros((4, 4)),
         moments=np.array([0.015625, 1.0123456789, -0.002, 2.25]),
         moment_se=np.array([0.001, 0.02, 0.0, 0.1]),
