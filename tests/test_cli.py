@@ -64,6 +64,35 @@ def test_outputs_pinned(tmp_path, argv):
     assert digests == PINNED_OUTPUTS[argv]
 
 
+def _loads_scipy(tmp_path, *argvs):
+    """Run each argv through main() in one fresh interpreter; did scipy load?"""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from corrdiag.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+    )
+    src = str(Path(corrdiag.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * len(argvs)
+    return loaded
+
+
+def test_commands_that_never_sample_do_not_load_scipy(tmp_path):
+    # other test modules import scipy, so only a fresh interpreter can tell
+    assert not _loads_scipy(tmp_path,
+                            ["partitions", "--k", "4"],
+                            ["volume", "1-3,2-4", "--samples", "1000"],
+                            ["moments", "--k", "4", "--samples", "1000"],
+                            ["oracle", "--n", "6", "--k", "4"])
+    assert _loads_scipy(tmp_path, ["simulate", "--n", "20", "--realizations", "1"])
+
+
 def test_partitions_stdout(capsys):
     code, out, _ = run_cli(capsys, "partitions", "--k", "4")
     assert code == 0
