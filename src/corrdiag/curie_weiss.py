@@ -45,7 +45,7 @@ class MagnetizationLaw:
 
 
 def magnetization_levels(n: int, beta: float) -> MagnetizationLaw:
-    # imported here: scipy.special costs about 0.3 s and 24 MB, and only sampling uses it
+    # imported here: scipy.special costs about 0.3 s and 24 MB, and only the level law uses it
     from scipy.special import gammaln, logsumexp
 
     _check_params(n, beta)

@@ -48,14 +48,17 @@ PINNED_OUTPUTS = {
 }
 
 
+def _fresh_interpreter_env():
+    src = str(Path(corrdiag.__file__).parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 @pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=lambda argv: argv[0])
 def test_outputs_pinned(tmp_path, argv):
     # a fresh interpreter, so the BLAS thread setting holds before NumPy loads
-    src = str(Path(corrdiag.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-m", "corrdiag.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, check=True)
+                          env=_fresh_interpreter_env(), capture_output=True, check=True)
     digests = {
         name: hashlib.sha256(done.stdout if name == "stdout"
                              else (tmp_path / name).read_bytes()).hexdigest()
@@ -73,11 +76,9 @@ def _loads_scipy(tmp_path, *argvs):
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
     )
-    src = str(Path(corrdiag.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          check=True)
     codes, loaded = json.loads(done.stdout)
     assert codes == [0] * len(argvs)
     return loaded
