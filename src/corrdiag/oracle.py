@@ -11,22 +11,24 @@ cancellation system x_i - x_{i-1} + x_j - x_{j-1} = 0 on {0,...,n-1}, i.e.
 the lattice points of n times the polytope whose volume `corrdiag.volumes`
 defines.  Normalized by n^(k/2+1) they converge to that volume (for
 non-crossing partitions they equal it at every n), while the opposed count
-sits below them by O(n^(k/2)) walks with extra coincidences.  For each walk
-we also count shared matrix
-cells: index pairs i < j whose steps touch the same unordered cell
-{p_i, p_{i+1}} = {p_j, p_{j+1}} — and, per block, whether that block itself
-is cell-tied.
+sits below them by O(n^(k/2)) walks with extra coincidences.  For each
+opposed walk we also count shared matrix cells: index pairs i < j whose
+steps touch the same unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} — and,
+per block, whether that block itself is cell-tied.
 
-Everything is exact integer counting over every walk, chunked over p_1.
-Each walk carries three bitmasks with one bit per pair of steps:
-|d_i| = |d_j|, d_i = -d_j, and steps i and j share a cell.  The positions
-p_2..p_k, the steps d_2..d_{k-1} and the bits of every pair among those
-steps do not depend on p_1, so `_interior` builds them once per (n, k)
-and `_walk_masks` adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.
-Both the census and the search for a walk below the cell bound scan
-chunks this way.  A walk's |step| mask equals at most one partition's
-signature, so one sorted lookup assigns each walk of a chunk to its
-partition and `np.bincount` tallies every partition in that one pass.
+Everything is exact integer counting over every walk.  The walks are
+split by p_1 into chunks and by (p_2, ..., p_k) into slabs of at most
+`_SLAB` walks, so a census holds one slab per worker and its memory stays
+bounded whatever n is.  Each walk carries two bitmasks with one bit per
+pair of steps: |d_i| = |d_j| and d_i = -d_j.  The positions p_2..p_k, the
+steps d_2..d_{k-1} and the bits of every pair among those steps do not
+depend on p_1, so `_interior` builds them once per slab and `_walk_masks`
+adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.  A walk's |step|
+mask equals at most one partition's signature, so one sorted lookup
+assigns each walk of a chunk to its partition and `np.bincount` tallies
+every partition in that one pass.  Shared cells are worked out afterwards,
+for the opposed walks only.  Both the census and the search for a walk
+below the cell bound scan the walks this way.
 
 The census tallies only the chunks p_1 < n/2 (0-based) and counts each
 twice, plus the middle chunk once when n is odd.  The reflection
@@ -35,13 +37,14 @@ those starting at n-1-p_1 and negates every step.  That keeps |d_i| = |d_j|,
 d_i = -d_j, and both shared-cell tests (p_i = p_j with d_i = d_j,
 p_i = p_{j+1} with d_i = -d_j), so the two chunks tally the same counts
 and the chunks p_1 >= n/2 need not be scanned.  The search for a walk
-below the cell bound still scans every chunk in order, because it returns
-the first such walk.
+below the cell bound still scans every chunk in order, and within it every
+slab in order, because it returns the first such walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,6 +56,11 @@ from .partitions import PairPartition, blocks_cross, enumerate_pair_partitions, 
 COST_GUARD = 10**8
 MEMORY_GUARD = 2**29  # bytes of census arrays, as `_census_bytes` estimates them
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
+# Walks of the (p_2, ..., p_k) grid per slab.  A census holds one slab per
+# worker, so its memory stays a few MiB at every n.  Narrower slabs lose time
+# to numpy's per-call overhead (2^14 ran the benchmark's censuses about 40%
+# slower); wider ones ran no faster and cost memory.
+_SLAB = 2**16
 
 
 @dataclass(eq=False)
@@ -84,17 +92,24 @@ def _mask_dtype(k: int):
 def _census_bytes(n: int, k: int, threads: int) -> int:
     """Peak bytes of census arrays, estimated from their shapes.
 
-    With W = n^(k-1) walks per p_1 chunk and b = 4 or 8 bytes per bitmask,
-    the interior holds int16 positions (k-1)W and steps (k-2)W, three
-    bitmasks and an int8 cell count: W(4k - 5 + 3b) bytes.  Each chunk in
-    flight holds its own three bitmasks and cell count, two int16 edge
-    steps, an int64 partition slot per walk and the boolean and gathered
-    temporaries of the lookup: at most W(5b + 24) bytes.  The estimate is
-    W(4k - 5 + 3b) + threads * W(5b + 24).
+    Each worker holds one slab of W = min(n^(k-1), _SLAB) walks at a time.
+    With b = 4 or 8 bytes per bitmask, the slab's interior holds int16
+    positions (k-1)W and steps (k-2)W and two bitmasks: W(4k - 6 + 2b)
+    bytes.  Building it takes at most W(12 + b) of int32 digits or of one
+    pair's boolean and weighted bits.  A chunk holds its own two bitmasks,
+    the sorted copy that counts distinct reversal masks, an int64 partition
+    slot per walk and its clipped copy, and the boolean and index
+    temporaries of the lookup: at most W(3b + 24).  Shared cells are worked
+    out for the opposed walks only, a small share of W.  A worker also keeps
+    up to four sets of tallies (its running total, the next one, a chunk's
+    counts and their weighted copy), each 8P(2 * pairs + 4) bytes for P pair
+    partitions.  The estimate is
+    threads * (W(4k + 30 + 6b) + 32P(2 * pairs + 4)).
     """
-    width = n ** (k - 1)
+    width = min(n ** (k - 1), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
-    return width * (4 * k - 5 + 3 * b) + threads * width * (5 * b + 24)
+    parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
+    return threads * (width * (4 * k + 30 + 6 * b) + 32 * parts * (2 * pairs + 4))
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -122,81 +137,109 @@ def _signature(p: PairPartition, pair_index) -> int:
     return sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
 
 
-def _add_pairs(masks, cell_count, pairs, positions, steps) -> None:
-    """OR the bits of each (bit, i, j) in ``pairs`` into ``masks`` in place.
-
-    The three mask rows get |d_i| = |d_j|, d_i = -d_j and "steps i and j
-    share a cell", which is p_i = p_j with d_i = d_j, or p_i = p_{j+1} with
-    d_i = -d_j; ``cell_count`` gains the shared cells.
-    """
+def _add_pairs(masks, pairs, steps) -> None:
+    """OR the bits of each (bit, i, j) in ``pairs`` into ``masks`` in place:
+    row 0 gets |d_i| = |d_j| and row 1 gets d_i = -d_j."""
     for bit, i, j in pairs:
-        same = steps[i] == steps[j]
         reverse = steps[i] == -steps[j]
-        tied = ((positions[i] == positions[j]) & same) | ((positions[i] == positions[j + 1]) & reverse)
         weight = masks.dtype.type(1 << bit)
-        for mask, hit in zip(masks, (same | reverse, reverse, tied)):
-            mask |= hit * weight
-        cell_count += tied
+        masks[0] |= ((steps[i] == steps[j]) | reverse) * weight
+        masks[1] |= reverse * weight
 
 
 @dataclass(frozen=True)
 class _Interior:
-    """The p_1-independent part of every closed walk of length k on n sites."""
+    """The p_1-independent part of a slab of closed walks of length k on n sites."""
 
     k: int
     pair_index: list[tuple[int, int]]
     rows: np.ndarray  # (k-1, W) int16: p_2..p_k (0-based sites), one column per walk
     steps: np.ndarray  # (k-2, W) int16: d_2..d_{k-1}
-    masks: np.ndarray  # (3, W) bits of the pairs among those steps
-    cell_count: np.ndarray  # (W,) int8: shared cells among those pairs
+    masks: np.ndarray  # (2, W) bits of the pairs among those steps
 
 
-def _interior(n: int, k: int) -> _Interior:
-    pair_index = list(itertools.combinations(range(k), 2))
-    rows = np.indices((n,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
+def _pair_index(k: int) -> list[tuple[int, int]]:
+    """Step pairs (i, j), i < j (0-based), in bit order."""
+    return list(itertools.combinations(range(k), 2))
+
+
+def _slabs(n: int, k: int) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid."""
+    width = n ** (k - 1)
+    return [(lo, min(lo + _SLAB, width)) for lo in range(0, width, _SLAB)]
+
+
+def _interior(n: int, k: int, lo: int = 0, hi: int | None = None) -> _Interior:
+    """The p_1-independent part of walks lo..hi-1 (default: all n^(k-1)) of
+    the flattened (p_2, ..., p_k) grid, in the C order of
+    ``np.indices((n,) * (k - 1))``: p_2 varies slowest, p_k fastest.  The
+    census and the search for a low-cell walk build it one slab at a time."""
+    pair_index = _pair_index(k)
+    hi = n ** (k - 1) if hi is None else hi
+    flat = np.arange(lo, hi, dtype=np.int32)  # n^(k-1) < 2^31 under COST_GUARD
+    rows = np.empty((k - 1, hi - lo), dtype=np.int16)
+    for axis in range(k - 1):
+        rows[axis] = flat // n ** (k - 2 - axis) % n
     steps = rows[1:] - rows[:-1]
-    masks = np.zeros((3, rows.shape[1]), dtype=_mask_dtype(k))
-    cell_count = np.zeros(rows.shape[1], dtype=np.int8)
+    masks = np.zeros((2, rows.shape[1]), dtype=_mask_dtype(k))
     inner = [(bit, i, j) for bit, (i, j) in enumerate(pair_index) if i > 0 and j < k - 1]
-    _add_pairs(masks, cell_count, inner, [None, *rows, None], [None, *steps, None])
-    return _Interior(k, pair_index, rows, steps, masks, cell_count)
+    _add_pairs(masks, inner, [None, *steps, None])
+    return _Interior(k, pair_index, rows, steps, masks)
 
 
-def _walk_masks(interior: _Interior, p1: int):
-    """Bitmasks (|d_i| = |d_j|, d_i = -d_j, shared cell; one row each) and
-    shared-cell counts of the closed walks starting at p_1 = p1 (0-based),
-    one column per column of ``interior.rows``."""
+def _walk_masks(interior: _Interior, p1: int) -> np.ndarray:
+    """Bitmasks |d_i| = |d_j| and d_i = -d_j (one row each) of the closed
+    walks starting at p_1 = p1 (0-based), one column per column of
+    ``interior.rows``."""
     k, rows = interior.k, interior.rows
     start = np.int16(p1)
-    positions = [start, *rows, start]  # closed: p_{k+1} = p_1
-    steps = [rows[0] - start, *interior.steps, start - rows[-1]]
+    steps = [rows[0] - start, *interior.steps, start - rows[-1]]  # closed: p_{k+1} = p_1
     masks = interior.masks.copy()
-    cell_count = interior.cell_count.copy()
     edge = [(bit, i, j) for bit, (i, j) in enumerate(interior.pair_index) if i == 0 or j == k - 1]
-    _add_pairs(masks, cell_count, edge, positions, steps)
-    return masks, cell_count
+    _add_pairs(masks, edge, steps)
+    return masks
+
+
+def _shared_cells(interior: _Interior, p1: int, walks: np.ndarray):
+    """Shared-cell bitmask and count of the walks from p_1 = p1 at columns
+    ``walks`` of ``interior.rows``.  Steps i < j share a cell when p_i = p_j
+    with d_i = d_j, or p_i = p_{j+1} with d_i = -d_j."""
+    start = np.int16(p1)
+    positions = [start, *interior.rows[:, walks], start]
+    steps = [b - a for a, b in zip(positions, positions[1:])]
+    cell = np.zeros(len(walks), dtype=interior.masks.dtype)
+    cell_count = np.zeros(len(walks), dtype=np.int8)
+    for bit, (i, j) in enumerate(interior.pair_index):
+        tied = (((positions[i] == positions[j]) & (steps[i] == steps[j]))
+                | ((positions[i] == positions[j + 1]) & (steps[i] == -steps[j])))
+        cell |= tied * cell.dtype.type(1 << bit)
+        cell_count += tied
+    return cell, cell_count
 
 
 def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     """Counts of the walks starting at p1, row r for the partition whose
     signature is ``signatures[r]`` (sorted): matched, opposed and solutions
     (P,), the shared-cell histogram (P, pairs + 1) and the cell ties of
-    each pair bit (P, pairs).  Each walk is visited once."""
-    (eq, neg, cell), cell_count = _walk_masks(interior, p1)
+    each pair bit (P, pairs).  Each walk is visited once; shared cells are
+    worked out for the opposed walks only."""
+    eq, neg = _walk_masks(interior, p1)
     parts, pairs = len(signatures), len(interior.pair_index)
     values, counts = np.unique(neg, return_counts=True)
     solutions = np.array([counts[(values & s) == s].sum() for s in signatures], dtype=np.int64)
 
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
-    hit = signatures[slot] == eq
-    slot, eq, neg, cell, cell_count = slot[hit], eq[hit], neg[hit], cell[hit], cell_count[hit]
+    walks = np.flatnonzero(signatures[slot] == eq)
+    slot, eq, neg = slot[walks], eq[walks], neg[walks]
     matched = np.bincount(slot, minlength=parts)
 
     hit = (neg & eq) == eq
-    slot, ties, cell_count = slot[hit], cell[hit] & eq[hit], cell_count[hit]
+    walks, slot, eq = walks[hit], slot[hit], eq[hit]
+    cell, cell_count = _shared_cells(interior, p1, walks)
     opposed = np.bincount(slot, minlength=parts)
     cells = np.bincount(slot * (pairs + 1) + cell_count, minlength=parts * (pairs + 1))
 
+    ties = cell & eq
     hit = ties != 0
     slot, ties = slot[hit], ties[hit]
     block_ties = np.zeros((parts, pairs), dtype=np.int64)
@@ -210,16 +253,31 @@ def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
     partitions = enumerate_pair_partitions(k)
-    interior = _interior(n, k)
-    signature = {p.canonical(): _signature(p, interior.pair_index) for p in partitions}
+    pair_index = _pair_index(k)
+    signature = {p.canonical(): _signature(p, pair_index) for p in partitions}
     ordered = sorted(signature, key=signature.get)
-    signatures = np.array([signature[key] for key in ordered], dtype=interior.masks.dtype)
+    signatures = np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
 
     # chunk n-1-p1 is the mirror image of chunk p1: scan the lower half, count it twice
-    chunks = parallel_map(lambda p1: _chunk_tallies(interior, p1, signatures), range((n + 1) // 2))
     weights = [2] * (n // 2) + [1] * (n % 2)
+
+    def tally(group):
+        """Weighted counts of the walks in ``group``'s slabs, one slab held at a time."""
+        total = [0] * 5
+        for bounds in group:
+            interior = _interior(n, k, *bounds)
+            for p1, weight in enumerate(weights):
+                chunk = _chunk_tallies(interior, p1, signatures)
+                total = [t + weight * c for t, c in zip(total, chunk)]
+            del interior  # free this slab before the next one is built
+        return total
+
+    # each worker sums its own slabs, so the tallies held stay one set per worker
+    slabs = _slabs(n, k)
+    workers = min(thread_count(), len(slabs))
+    groups = [slabs[w::workers] for w in range(workers)]
     matched, opposed, solutions, cells, ties = (
-        sum(w * tally for w, tally in zip(weights, column)) for column in zip(*chunks))
+        sum(column) for column in zip(*parallel_map(tally, groups)))
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
     for p in partitions:
@@ -229,7 +287,7 @@ def walk_census(n: int, k: int) -> WalkCensus:
             opposed=int(opposed[r]),
             solutions=int(solutions[r]),
             shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
-            block_ties={(a, b): int(ties[r, interior.pair_index.index((a - 1, b - 1))])
+            block_ties={(a, b): int(ties[r, pair_index.index((a - 1, b - 1))])
                         for a, b in p.blocks},
         )
     return WalkCensus(n, k, n**k, tallies, n**k - int(matched.sum()))
@@ -289,13 +347,15 @@ def check_cell_bound(n: int, k: int) -> dict:
 def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
     """First opposed walk of ``p`` with fewer than ``floor`` shared cells, as
     1-based positions (p_1, ..., p_k), or None when there is none."""
-    interior = _interior(n, k)
-    sig = _signature(p, interior.pair_index)
+    sig = _signature(p, _pair_index(k))
     for p1 in range(n):
-        (eq, neg, _), cell_count = _walk_masks(interior, p1)
-        hit = np.flatnonzero((eq == sig) & ((neg & sig) == sig) & (cell_count < floor))
-        if hit.size:
-            return (p1 + 1, *(int(x) + 1 for x in interior.rows[:, hit[0]]))
+        for bounds in _slabs(n, k):
+            interior = _interior(n, k, *bounds)
+            eq, neg = _walk_masks(interior, p1)
+            walks = np.flatnonzero((eq == sig) & ((neg & sig) == sig))
+            low = walks[_shared_cells(interior, p1, walks)[1] < floor]
+            if low.size:
+                return (p1 + 1, *(int(x) + 1 for x in interior.rows[:, low[0]]))
     return None
 
 

@@ -254,9 +254,16 @@ def test_oracle_out_file_is_header_then_report(tmp_path, capsys):
     assert "".join(lines[2:]) == stdout
 
 
-def test_oracle_memory_guard_exits_before_allocating(capsys):
+def test_oracle_memory_guard_exits_before_allocating(capsys, monkeypatch):
     import tracemalloc
 
+    from corrdiag import oracle
+
+    # a census holds one slab per worker, so these shapes fit in a few MiB and
+    # only the walk-count guard bounds them; a lowered memory guard refuses them
+    oracle._check_cost(10, 8)
+    oracle._check_cost(6, 10)
+    monkeypatch.setattr(oracle, "MEMORY_GUARD", oracle._census_bytes(6, 8, 1) // 2)
     for n, k in (("6", "10"), ("10", "8")):
         tracemalloc.start()
         try:
@@ -266,7 +273,7 @@ def test_oracle_memory_guard_exits_before_allocating(capsys):
             tracemalloc.stop()
         assert code == 2 and out == ""
         assert "memory guard" in err
-        assert peak < 2**22  # the census would need over a gigabyte
+        assert peak < 2**22
 
 
 def test_matrix_memory_guard_exits_before_allocating(tmp_path, capsys):

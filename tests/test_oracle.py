@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from corrdiag import oracle
 from corrdiag.oracle import (
+    _census_bytes,
     _check_cost,
     _chunk_tallies,
     _find_low_cell_walk,
@@ -342,3 +345,39 @@ def test_census_pinned_bytes(n, k):
                            sort_keys=True)
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
     assert digests == PINNED_CENSUS[(n, k)]
+
+
+def _low_cell_walks(n, k):
+    return [_find_low_cell_walk(n, k, p, height(p) + 1) for p in enumerate_pair_partitions(k)]
+
+
+@pytest.mark.parametrize("width", [389, 4096, 5000])
+def test_census_invariant_to_slab_width(monkeypatch, width):
+    # 389 walks is less than one p_2 row (n^(k-2) >= 400 walks) of every pinned
+    # shape; 4096 divides some n^(k-1) exactly, 389 and 5000 divide none
+    searches = {(n, k): _low_cell_walks(n, k) for n, k in ((6, 4), (5, 6))}
+    monkeypatch.setattr(oracle, "_SLAB", width)
+    for (n, k), pinned in PINNED_CENSUS.items():
+        census = walk_census.__wrapped__(n, k)
+        report = json.dumps(census_report(census), indent=2, sort_keys=True)
+        solutions = json.dumps({key: t.solutions for key, t in sorted(census.tallies.items())},
+                               sort_keys=True)
+        assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (report, solutions)) == pinned
+    for (n, k), walks in searches.items():
+        assert _low_cell_walks(n, k) == walks
+
+
+def test_census_peak_within_memory_estimate(monkeypatch):
+    # the benchmark's censuses and the largest one the tests run: one slab at a
+    # time keeps each at a few MiB, whatever n is
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    for n, k in ((60, 4), (12, 6), (6, 8), (18, 6)):
+        tracemalloc.start()
+        try:
+            walk_census.__wrapped__(n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _census_bytes(n, k, 1)
+        assert peak <= 8 * 2**20
