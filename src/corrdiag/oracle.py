@@ -23,12 +23,14 @@ bounded whatever n is.  Each walk carries two bitmasks with one bit per
 pair of steps: |d_i| = |d_j| and d_i = -d_j.  The positions p_2..p_k, the
 steps d_2..d_{k-1} and the bits of every pair among those steps do not
 depend on p_1, so `_interior` builds them once per slab and `_walk_masks`
-adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.  A walk's |step|
-mask equals at most one partition's signature, so one sorted lookup
-assigns each walk of a chunk to its partition and `np.bincount` tallies
-every partition in that one pass.  Shared cells are worked out afterwards,
-for the opposed walks only.  Both the census and the search for a walk
-below the cell bound scan the walks this way.
+adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.  A partition's
+signature sets one bit per block, k/2 in all, and a walk's |step| mask
+equals at most one signature.  So one bit count keeps the walks whose mask
+has k/2 bits, one sorted lookup assigns each of those to its partition or
+to none, and `np.bincount` tallies every partition in that one pass.
+Shared cells are worked out afterwards, for the opposed walks only.  Both
+the census and the search for a walk below the cell bound scan the walks
+this way.
 
 The census tallies only the chunks p_1 < n/2 (0-based) and counts each
 twice, plus the middle chunk once when n is odd.  The reflection
@@ -95,15 +97,19 @@ def _census_bytes(n: int, k: int, threads: int) -> int:
     Each worker holds one slab of W = min(n^(k-1), _SLAB) walks at a time.
     With b = 4 or 8 bytes per bitmask, the slab's interior holds int16
     positions (k-1)W and steps (k-2)W and two bitmasks: W(4k - 6 + 2b)
-    bytes.  Building it takes at most W(12 + b) of int32 digits or of one
-    pair's boolean and weighted bits.  A chunk holds its own two bitmasks,
-    the sorted copy that counts distinct reversal masks, an int64 partition
-    slot per walk and its clipped copy, and the boolean and index
-    temporaries of the lookup: at most W(3b + 24).  Shared cells are worked
-    out for the opposed walks only, a small share of W.  A worker also keeps
-    up to four sets of tallies (its running total, the next one, a chunk's
-    counts and their weighted copy), each 8P(2 * pairs + 4) bytes for P pair
-    partitions.  The estimate is
+    bytes.  Building it takes at most W(12 + b): the int32 digits, or the
+    two uint8 rows that gather a byte of bits, one pair's booleans and one
+    widened row.  A chunk holds its own two bitmasks and, while it counts
+    distinct reversal masks, their sorted copy.  The filter holds one uint8
+    bit count and one bool per walk, then the int64 index of the candidate
+    walks (those with k/2 |step| bits).  The lookup holds, per candidate, a
+    copy of its mask, an int64 partition slot and its clipped copy.  That
+    is at most W(3b + 24) when every walk is a candidate, as at k = 2; at
+    the benchmark's shapes at most 37% of a chunk's walks are.  Shared
+    cells are worked out for the opposed walks only, a small share of W.
+    A worker also keeps up to four sets of tallies (its running total, the
+    next one, a chunk's counts and their weighted copy), each
+    8P(2 * pairs + 4) bytes for P pair partitions.  The estimate is
     threads * (W(4k + 30 + 6b) + 32P(2 * pairs + 4)).
     """
     width = min(n ** (k - 1), _SLAB)
@@ -139,12 +145,19 @@ def _signature(p: PairPartition, pair_index) -> int:
 
 def _add_pairs(masks, pairs, steps) -> None:
     """OR the bits of each (bit, i, j) in ``pairs`` into ``masks`` in place:
-    row 0 gets |d_i| = |d_j| and row 1 gets d_i = -d_j."""
-    for bit, i, j in pairs:
-        reverse = steps[i] == -steps[j]
-        weight = masks.dtype.type(1 << bit)
-        masks[0] |= ((steps[i] == steps[j]) | reverse) * weight
-        masks[1] |= reverse * weight
+    row 0 gets |d_i| = |d_j| and row 1 gets d_i = -d_j.  The bits of each
+    mask byte are gathered in uint8 first: setting a bit there costs a
+    quarter or less of setting it in int32 or int64 masks."""
+    bits = np.empty(masks.shape, dtype=np.uint8)
+    for byte, group in itertools.groupby(pairs, key=lambda pair: pair[0] // 8):
+        bits[:] = 0
+        for bit, i, j in group:
+            reverse = steps[i] == -steps[j]
+            weight = np.uint8(1 << bit % 8)
+            bits[0] |= ((steps[i] == steps[j]) | reverse).view(np.uint8) * weight
+            bits[1] |= reverse.view(np.uint8) * weight
+        for row in range(2):
+            masks[row] |= np.left_shift(bits[row], 8 * byte, dtype=masks.dtype)
 
 
 @dataclass(frozen=True)
@@ -228,9 +241,13 @@ def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     values, counts = np.unique(neg, return_counts=True)
     solutions = np.array([counts[(values & s) == s].sum() for s in signatures], dtype=np.int64)
 
+    # a signature sets one bit per block, k/2 in all: no other walk can match
+    walks = np.flatnonzero(np.bitwise_count(eq) == interior.k // 2)
+    eq = eq[walks]
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
-    walks = np.flatnonzero(signatures[slot] == eq)
-    slot, eq, neg = slot[walks], eq[walks], neg[walks]
+    hit = signatures[slot] == eq
+    walks, slot, eq = walks[hit], slot[hit], eq[hit]
+    neg = neg[walks]
     matched = np.bincount(slot, minlength=parts)
 
     hit = (neg & eq) == eq

@@ -16,7 +16,9 @@ from corrdiag.oracle import (
     _chunk_tallies,
     _find_low_cell_walk,
     _interior,
+    _pair_index,
     _signature,
+    _walk_masks,
     census_report,
     check_excess_crossing_decay,
     check_cell_bound,
@@ -320,6 +322,27 @@ def test_reflected_chunks_tally_the_same_counts(n, k):
             assert np.array_equal(a, b)
 
 
+def test_every_signature_has_one_bit_per_block():
+    # the census looks up only the walks with k/2 |step| bits, so no
+    # partition may have a signature with any other bit count
+    for k in range(2, 12, 2):
+        pair_index = _pair_index(k)
+        counts = {bin(_signature(p, pair_index)).count("1") for p in enumerate_pair_partitions(k)}
+        assert counts == {k // 2}
+
+
+def test_lookup_rejects_walks_with_k_half_bits_that_match_no_partition():
+    # three equal |steps| set three bits at k=6 and are no pair partition, so
+    # the exact compare after the bit-count filter has walks to reject here
+    # (test_census_matches_brute_force checks the counts at this shape)
+    interior = _interior(4, 6)
+    signatures = {_signature(p, interior.pair_index) for p in enumerate_pair_partitions(6)}
+    eq = _walk_masks(interior, 0)[0]
+    candidates = set(eq[np.bitwise_count(eq) == 3].tolist())
+    assert candidates & signatures
+    assert candidates - signatures
+
+
 # SHA-256 of the indented, key-sorted census_report JSON and of the
 # key-sorted {partition: solutions} JSON, recorded with the census that
 # scanned every p1 chunk
@@ -337,14 +360,24 @@ PINNED_CENSUS = {
 }
 
 
-@pytest.mark.parametrize("n,k", sorted(PINNED_CENSUS))
-def test_census_pinned_bytes(n, k):
-    census = walk_census(n, k)
+# k=10 has 45 step pairs, so its masks are the only int64 ones; n=5 is the
+# smallest size with matched walks there (90720 of them), n=4 has none
+PINNED_INT64_CENSUS = {
+    (5, 10): ("3914043dfaa9a237f25d0c73d22b0f1adfe0ec5c8ed3db41f0a976ef5587d8e2",
+              "b0e82ea5416791b078f3a6d00840abd31b4a478f9306ce72baaea4e31d025705"),
+}
+
+
+def _census_digests(census):
     report = json.dumps(census_report(census), indent=2, sort_keys=True)
     solutions = json.dumps({key: t.solutions for key, t in sorted(census.tallies.items())},
                            sort_keys=True)
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
-    assert digests == PINNED_CENSUS[(n, k)]
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
+
+
+@pytest.mark.parametrize("n,k", sorted({**PINNED_CENSUS, **PINNED_INT64_CENSUS}))
+def test_census_pinned_bytes(n, k):
+    assert _census_digests(walk_census(n, k)) == {**PINNED_CENSUS, **PINNED_INT64_CENSUS}[(n, k)]
 
 
 def _low_cell_walks(n, k):
@@ -358,12 +391,7 @@ def test_census_invariant_to_slab_width(monkeypatch, width):
     searches = {(n, k): _low_cell_walks(n, k) for n, k in ((6, 4), (5, 6))}
     monkeypatch.setattr(oracle, "_SLAB", width)
     for (n, k), pinned in PINNED_CENSUS.items():
-        census = walk_census.__wrapped__(n, k)
-        report = json.dumps(census_report(census), indent=2, sort_keys=True)
-        solutions = json.dumps({key: t.solutions for key, t in sorted(census.tallies.items())},
-                               sort_keys=True)
-        assert tuple(hashlib.sha256(text.encode()).hexdigest()
-                     for text in (report, solutions)) == pinned
+        assert _census_digests(walk_census.__wrapped__(n, k)) == pinned
     for (n, k), walks in searches.items():
         assert _low_cell_walks(n, k) == walks
 
