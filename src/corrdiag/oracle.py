@@ -242,6 +242,7 @@ def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     solutions = np.array([counts[(values & s) == s].sum() for s in signatures], dtype=np.int64)
 
     # a signature sets one bit per block, k/2 in all: no other walk can match
+    # (masks never set their sign bit, so counting the bits of |eq| is exact)
     walks = np.flatnonzero(np.bitwise_count(eq) == interior.k // 2)
     eq = eq[walks]
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)

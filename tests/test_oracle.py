@@ -327,7 +327,7 @@ def test_every_signature_has_one_bit_per_block():
     # partition may have a signature with any other bit count
     for k in range(2, 12, 2):
         pair_index = _pair_index(k)
-        counts = {bin(_signature(p, pair_index)).count("1") for p in enumerate_pair_partitions(k)}
+        counts = {_signature(p, pair_index).bit_count() for p in enumerate_pair_partitions(k)}
         assert counts == {k // 2}
 
 
@@ -361,7 +361,10 @@ PINNED_CENSUS = {
 
 
 # k=10 has 45 step pairs, so its masks are the only int64 ones; n=5 is the
-# smallest size with matched walks there (90720 of them), n=4 has none
+# smallest size with matched walks there (90720 of them), n=4 has none.
+# Recorded with the census that looked up every walk.  Kept apart from
+# PINNED_CENSUS because it takes seconds, and the slab-width test below
+# reruns each of those three times.
 PINNED_INT64_CENSUS = {
     (5, 10): ("3914043dfaa9a237f25d0c73d22b0f1adfe0ec5c8ed3db41f0a976ef5587d8e2",
               "b0e82ea5416791b078f3a6d00840abd31b4a478f9306ce72baaea4e31d025705"),
@@ -375,9 +378,9 @@ def _census_digests(census):
     return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
 
 
-@pytest.mark.parametrize("n,k", sorted({**PINNED_CENSUS, **PINNED_INT64_CENSUS}))
+@pytest.mark.parametrize("n,k", sorted(PINNED_CENSUS | PINNED_INT64_CENSUS))
 def test_census_pinned_bytes(n, k):
-    assert _census_digests(walk_census(n, k)) == {**PINNED_CENSUS, **PINNED_INT64_CENSUS}[(n, k)]
+    assert _census_digests(walk_census(n, k)) == (PINNED_CENSUS | PINNED_INT64_CENSUS)[(n, k)]
 
 
 def _low_cell_walks(n, k):
