@@ -21,7 +21,14 @@ integer seed a run derives (per-partition volume seeds, per-criterion and
 per-size ensemble seeds) is ``child_seed(seed, *key)``, the first 64-bit
 word of the child stream SeedSequence(seed, spawn_key=key).  Normals are drawn
 by inverse CDF (ndtri) on 53-bit uniforms offset to the open interval, a
-choice fixed here because bit-exact reproducibility is promised.
+choice fixed here because bit-exact reproducibility is promised: a raw PCG64
+word w gives the uniform ((w >> 11) + 0.5) * 2^-53.
+
+`diagonal_rng` and `sample_diagonal` are the per-diagonal reference.
+`build_matrix` gives the same bytes without a generator per diagonal: it
+derives the PCG64 states of all n child streams in one vectorized pass,
+loads each into one reused PCG64, and reads raw words a slab of whole
+diagonals at a time.
 
 Memory guard: `build_matrix` (8n^2 bytes), `spectra.run_ensemble` (8n^2
 bytes per worker thread) and `validate_conditions` (about 3 * draws * n
@@ -123,15 +130,162 @@ def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0
     """One realization of the scaled symmetric matrix as a dense float array."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
+    if not isinstance(gen, GeneratorSpec):
+        raise TypeError(f"unknown generator spec: {gen!r}")
     check_matrix_bytes(8 * n * n, f"an n={n} matrix")
+    np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects a negative seed or realization
+    # the matrix comes before the seeds' small arrays: allocated after them, it
+    # no longer fits the heap hole a freed matrix left, and the heap grows
     a = np.empty((n, n))
     flat = a.reshape(-1)
-    scale = math.sqrt(n)
-    for r in range(n):
-        values = sample_diagonal(gen, n - r, diagonal_rng(seed, realization, r)) / scale
+    for r, values in _scaled_diagonals(gen, n, _stream_states(seed, realization, n)):
         flat[r:(n - r) * (n + 1):n + 1] = values  # entries (i, i + r)
         flat[r * n::n + 1] = values  # entries (i + r, i)
     return a
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _stream_states(seed: int, realization: int, n: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of diagonal_rng(seed, realization, r) for every r < n.
+
+    Runs SeedSequence's entropy mixing and generate_state(4, np.uint64) as
+    uint32 arithmetic on arrays of length n, then PCG64's seeding step
+    (inc = 2 seq + 1, two LCG steps) in Python ints.  A negative seed or
+    realization raises ValueError here, before anything is allocated.
+    """
+    np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects what numpy rejects
+    # SeedSequence's entropy words: the seed's uint32 words zero-padded to the
+    # pool size of 4, the realization's words, then the offset (one word, r < 2^32)
+    seed_words = _uint32_words(seed)
+    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(realization)
+    entropy = [np.array([word], dtype=np.uint32) for word in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state32.append(value ^ (value >> 16))
+    # generate_state's uint64 words are little-endian pairs of uint32 words
+    state64 = [(lo.astype(np.uint64) | hi.astype(np.uint64) << 32).tolist()
+               for lo, hi in zip(state32[::2], state32[1::2])]
+    streams = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*state64):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        streams.append((state, inc))
+    return streams
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative integer's little-endian uint32 words, as SeedSequence splits it."""
+    value = int(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _load(bitgen: np.random.PCG64, stream: tuple[int, int]) -> None:
+    state, inc = stream
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+
+
+_SLAB = 2**16  # raw words turned into normals at a time
+
+
+def _normal_slabs(bitgen: np.random.PCG64, streams, words: list[int]):
+    """Standard normals of whole diagonals, at most _SLAB words a slab unless
+    one diagonal needs more: yields (first, end, normals of diagonals
+    first..end-1 back to back).  Diagonal r draws words[r] raw words from
+    its own stream; a word w gives ndtri(((w >> 11) + 0.5) * 2^-53), which is
+    _standard_normal's uniform, since integers(0, 2**53, dtype=np.uint64)
+    returns w >> 11 (Lemire's method never rejects on a power-of-two range).
+    """
+    from scipy.special import ndtri
+
+    # one pair of buffers for every slab, so no slab outlives the next one
+    raw = np.empty(min(sum(words), max(_SLAB, max(words))), dtype=np.uint64)
+    normals = np.empty(len(raw))
+    first = 0
+    while first < len(words):
+        end, total = first + 1, words[first]
+        while end < len(words) and total + words[end] <= _SLAB:
+            total += words[end]
+            end += 1
+        at = 0
+        for stream, count in zip(streams[first:end], words[first:end]):
+            _load(bitgen, stream)
+            raw[at:at + count] = bitgen.random_raw(count)
+            at += count
+        bits, z = raw[:total], normals[:total]
+        bits >>= 11
+        np.add(bits, 0.5, out=z)
+        z *= 1.0 / (1 << 53)
+        yield first, end, ndtri(z, out=z)
+        first = end
+
+
+def _scaled_diagonals(gen: GeneratorSpec, n: int, streams):
+    """Yield (r, diagonal r / sqrt(n)) for r < n: the values, and the float
+    operations in their order, of sample_diagonal(gen, n - r, rng) / sqrt(n)
+    with rng on stream r."""
+    scale = math.sqrt(n)
+    bitgen = np.random.PCG64()
+    if isinstance(gen, CurieWeiss):
+        rng = np.random.Generator(bitgen)
+        for r, stream in enumerate(streams):
+            _load(bitgen, stream)
+            yield r, sample_spins(n - r, gen.beta, rng) / scale
+        return
+    shared = int(not isinstance(gen, Independent))  # one draw first, shared by the diagonal
+    own = not isinstance(gen, Toeplitz)  # then one draw per entry
+    words = [shared + own * (n - r) for r in range(n)]
+    for first, end, z in _normal_slabs(bitgen, streams, words):
+        if isinstance(gen, Equicorrelated):
+            counts = words[first:end]
+            starts = np.cumsum(counts) - counts
+            head = math.sqrt(gen.c) * z[starts]
+            z *= math.sqrt(1.0 - gen.c)
+            z += np.repeat(head, counts)
+        z /= scale
+        at = 0
+        for r in range(first, end):
+            yield r, z[at + shared:at + words[r]] if own else z[at]
+            at += words[r]
 
 
 def _same_diagonal_target(gen: GeneratorSpec, length: int) -> float:

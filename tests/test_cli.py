@@ -329,6 +329,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("verify", "--criteria", "1", "42"),
     ("simulate", "--n", "10", "--bins", "0"),
     ("simulate", "--n", "10", "--k", "0"),
+    ("simulate", "--seed", "-1", "--n", "5", "--realizations", "2"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

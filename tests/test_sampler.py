@@ -1,6 +1,8 @@
 """Diagonal generators and matrix assembly."""
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from corrdiag.sampler import (
     sample_diagonal,
     validate_conditions,
 )
+from corrdiag import sampler
 
 GENERATORS = [Independent(), Equicorrelated(0.5), CurieWeiss(2.0), Toeplitz()]
 
@@ -205,3 +208,88 @@ def test_curie_weiss_rebuild_misses_no_level_cache():
     after = _level_cdf.cache_info()
     assert after.misses == before.misses
     assert after.hits - before.hits == 600
+
+
+@pytest.mark.parametrize("width", [1, 7, 4096])
+def test_matrix_bytes_invariant_to_slab_width(monkeypatch, width):
+    # 1 puts every diagonal in a slab of its own (each needs more words than
+    # that), 7 packs several short ones, 4096 splits n = 600 mid-matrix
+    monkeypatch.setattr(sampler, "_SLAB", width)
+    for gen, pinned in MATRIX_SHA256.items():
+        for n, digest in pinned.items():
+            a = build_matrix(n, gen, realization=1, seed=5)
+            assert hashlib.sha256(a.tobytes()).hexdigest() == digest, (gen, n)
+
+
+def reference_matrix(n, gen, realization, seed):
+    """The per-diagonal loop build_matrix must reproduce byte for byte: each
+    diagonal drawn by sample_diagonal from its own diagonal_rng stream."""
+    a = np.empty((n, n))
+    flat = a.reshape(-1)
+    scale = math.sqrt(n)
+    for r in range(n):
+        values = sample_diagonal(gen, n - r, diagonal_rng(seed, realization, r)) / scale
+        flat[r:(n - r) * (n + 1):n + 1] = values  # entries (i, i + r)
+        flat[r * n::n + 1] = values  # entries (i + r, i)
+    return a
+
+
+TWO_WORD_SEED = child_seed(5, 14)
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: type(g).__name__)
+@pytest.mark.parametrize("n", [1, 2, 3, 361, 362, 363])
+def test_matrix_matches_per_diagonal_reference(gen, n):
+    # n(n+1)/2 first passes 2^16 words at n = 362, so 362 and 363 take two slabs
+    assert TWO_WORD_SEED >= 2**32
+    a = build_matrix(n, gen, realization=3, seed=TWO_WORD_SEED)
+    assert a.tobytes() == reference_matrix(n, gen, 3, TWO_WORD_SEED).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, child_seed(1729, 7, 100)])
+def test_stream_states_match_numpy(seed):
+    n = 1000
+    for realization in (0, 1, 2**32 + 1):
+        streams = sampler._stream_states(seed, realization, n)
+        assert len(streams) == n
+        for r in (0, 1, n - 1):
+            bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(realization, r)))
+            assert streams[r] == tuple(bitgen.state["state"][key] for key in ("state", "inc"))
+
+
+def test_raw_words_give_the_reference_uniform_bits():
+    # build_matrix reads raw PCG64 words: integers(0, 2**53) on uint64 must be
+    # w >> 11, one word per draw, for scalar and array draws alike
+    for seed, realization, r in ((5, 1, 0), (TWO_WORD_SEED, 3, 17)):
+        def raw():
+            return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(realization, r)))
+
+        rng = diagonal_rng(seed, realization, r)
+        assert rng.integers(0, 1 << 53, dtype=np.uint64) == raw().random_raw() >> 11
+        rng = diagonal_rng(seed, realization, r)
+        assert np.array_equal(rng.integers(0, 1 << 53, size=1000, dtype=np.uint64),
+                              raw().random_raw(1000) >> 11)
+
+
+def test_negative_seed_or_realization_rejected():
+    for kwargs in ({"seed": -1}, {"realization": -1}):
+        for gen in GENERATORS:
+            with pytest.raises(ValueError, match="non-negative"):
+                build_matrix(4, gen, **kwargs)
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: type(g).__name__)
+def test_build_peak_is_matrix_plus_one_slab(gen):
+    # normals are drawn a slab of at most 2^16 words at a time, so a build
+    # holds the matrix and about 1 MiB besides; holding all n(n+1)/2 draws at
+    # once would add 8 MiB.  The first build loads scipy and fills the
+    # Curie-Weiss level cache, which later builds reuse.
+    n = 1000
+    build_matrix(n, gen, realization=0, seed=1)
+    tracemalloc.start()
+    try:
+        build_matrix(n, gen, realization=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + 2 * 2**20, peak
