@@ -15,8 +15,6 @@ from .oracle import (
     check_excess_crossing_decay,
     check_cell_bound,
     check_sn_minus_snstar_decay,
-    extrapolated_opposed_ratio,
-    opposed_ratio,
     solution_ratio,
     walk_census,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "run_ensemble",
     "concentration_probe",
     "walk_census",
-    "opposed_ratio",
     "solution_ratio",
-    "extrapolated_opposed_ratio",
     "check_cell_bound",
     "check_sn_minus_snstar_decay",
     "check_excess_crossing_decay",

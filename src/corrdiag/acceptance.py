@@ -21,13 +21,17 @@ Calibration notes baked into the defaults:
   too slowly to halve within the n^k cost guard, so the acceptance check
   is strict monotone decrease, and the k=6 tie example uses a block with
   nonzero counts.
-* Ratio clauses compare the solution count of each partition's
-  cancellation system (`oracle.solution_ratio`): those walks are the
-  lattice points of n times the volume's polytope, so their normalized
-  count is the quantity whose limit the volume is.  It reaches the volumes
-  up to O(1/n^2) (worst gap 0.006 at k=6, n=10).  The opposed count, which
-  excludes walks with extra |step| coincidences, sits a further ~4/n below
-  at k=6 (0.376 at n=10); its convergence is checked by the decay clauses.
+* Ratio clauses (k=4 at n=40, k=6 at n=10) compare the solution count of
+  each partition's cancellation system (`oracle.solution_ratio`): the walks
+  with d_i = -d_j on every block, further |step| coincidences allowed.
+  Those are the lattice points of n times the volume's polytope, so their
+  normalized count is the quantity whose limit the volume is.  At k <= 6
+  it equals volume + (1 - volume)/n^2 at every size checked; the worst gap
+  is 0.0004 at k=4, n=40 and 0.006 at k=6, n=10.  The opposed count (walks
+  whose |step| pattern is exactly the partition) leaves out the walks with
+  extra coincidences and sits about 4/n lower at k=6 (0.376 at n=10),
+  outside the k=6 band.  Its convergence is checked by the decay clauses
+  and by the opposed-count tests in tests/test_oracle.py.
 """
 
 from __future__ import annotations

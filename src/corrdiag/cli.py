@@ -22,7 +22,7 @@ from .oracle import (
     check_cell_bound,
     walk_census,
 )
-from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
+from .partitions import MAX_GROUND_SET, PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import (
     CurieWeiss,
     Equicorrelated,
@@ -65,9 +65,7 @@ def _generator_from(args: argparse.Namespace) -> GeneratorSpec:
         return Equicorrelated(args.c)
     if name == "curie-weiss":
         return CurieWeiss(args.beta)
-    if name == "toeplitz":
-        return Toeplitz()
-    raise ValueError(f"unknown generator {name!r}")
+    return Toeplitz()  # argparse choices admit no other name
 
 
 def cmd_partitions(args: argparse.Namespace) -> int:
@@ -92,6 +90,9 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    if args.k < 1 or args.k - args.k % 2 > MAX_GROUND_SET:  # odd orders vanish unenumerated
+        raise ValueError(f"--k must be >= 1 with no even order above the enumeration cap "
+                         f"{MAX_GROUND_SET}, got {args.k}")
     cache = VolumeCache(args.cache)
     rows = ["k,c,value,std_error,form"]
     for k in range(1, args.k + 1):
@@ -252,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,10 @@ walks with d_i = -d_j within each block, further coincidences of |d_i|
 (zero steps included) allowed: the integer points of the partition's
 cancellation system x_i - x_{i-1} + x_j - x_{j-1} = 0 on {0,...,n-1}, i.e.
 the lattice points of n times the polytope whose volume `corrdiag.volumes`
-defines.  Normalized by n^(k/2+1) they converge to that volume (for
-non-crossing partitions they equal it at every n), while the opposed count
-sits below them by O(n^(k/2)) walks with extra coincidences.  For each
-opposed walk we also count shared matrix cells: index pairs i < j whose
-steps touch the same unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} — and,
-per block, whether that block itself is cell-tied.
+defines (`corrdiag.acceptance` explains which count criterion 7 compares).
+For each opposed walk we also count shared matrix cells: index pairs i < j
+whose steps touch the same unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} —
+and, per block, whether that block itself is cell-tied.
 
 Everything is exact integer counting over every walk.  The walks are
 split by p_1 into chunks and by (p_2, ..., p_k) into slabs of at most
@@ -80,10 +78,11 @@ class WalkCensus:
     k: int
     total_walks: int
     tallies: dict[str, PartitionTally]
-    nonpair_walks: int
+    nonpair_walks: int  # scanned walks that matched no partition
 
     def partition_sum_identity(self) -> bool:
-        """All matched walks plus the rest must account for every walk."""
+        """Matched plus non-pair walks, each counted as scanned, make up all
+        n^k walks: the slabs and reflection weights cover each walk once."""
         return self.nonpair_walks + sum(t.matched for t in self.tallies.values()) == self.total_walks
 
 
@@ -182,13 +181,12 @@ def _slabs(n: int, k: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _SLAB, width)) for lo in range(0, width, _SLAB)]
 
 
-def _interior(n: int, k: int, lo: int = 0, hi: int | None = None) -> _Interior:
-    """The p_1-independent part of walks lo..hi-1 (default: all n^(k-1)) of
-    the flattened (p_2, ..., p_k) grid, in the C order of
-    ``np.indices((n,) * (k - 1))``: p_2 varies slowest, p_k fastest.  The
-    census and the search for a low-cell walk build it one slab at a time."""
+def _interior(n: int, k: int, lo: int, hi: int) -> _Interior:
+    """The p_1-independent part of walks lo..hi-1 of the flattened
+    (p_2, ..., p_k) grid, in the C order of ``np.indices((n,) * (k - 1))``:
+    p_2 varies slowest, p_k fastest.  The census and the search for a
+    low-cell walk build it one slab at a time."""
     pair_index = _pair_index(k)
-    hi = n ** (k - 1) if hi is None else hi
     flat = np.arange(lo, hi, dtype=np.int32)  # n^(k-1) < 2^31 under COST_GUARD
     rows = np.empty((k - 1, hi - lo), dtype=np.int16)
     for axis in range(k - 1):
@@ -234,8 +232,9 @@ def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     """Counts of the walks starting at p1, row r for the partition whose
     signature is ``signatures[r]`` (sorted): matched, opposed and solutions
     (P,), the shared-cell histogram (P, pairs + 1) and the cell ties of
-    each pair bit (P, pairs).  Each walk is visited once; shared cells are
-    worked out for the opposed walks only."""
+    each pair bit (P, pairs), then the number of walks that matched no
+    partition.  Each walk is visited once; shared cells are worked out for
+    the opposed walks only."""
     eq, neg = _walk_masks(interior, p1)
     parts, pairs = len(signatures), len(interior.pair_index)
     values, counts = np.unique(neg, return_counts=True)
@@ -250,6 +249,7 @@ def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     walks, slot, eq = walks[hit], slot[hit], eq[hit]
     neg = neg[walks]
     matched = np.bincount(slot, minlength=parts)
+    nonpair = interior.rows.shape[1] - len(walks)
 
     hit = (neg & eq) == eq
     walks, slot, eq = walks[hit], slot[hit], eq[hit]
@@ -263,7 +263,7 @@ def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
     block_ties = np.zeros((parts, pairs), dtype=np.int64)
     for bit in range(pairs):
         block_ties[:, bit] = np.bincount(slot[((ties >> bit) & 1).astype(bool)], minlength=parts)
-    return matched, opposed, solutions, cells.reshape(parts, pairs + 1), block_ties
+    return matched, opposed, solutions, cells.reshape(parts, pairs + 1), block_ties, nonpair
 
 
 @lru_cache(maxsize=16)
@@ -281,7 +281,7 @@ def walk_census(n: int, k: int) -> WalkCensus:
 
     def tally(group):
         """Weighted counts of the walks in ``group``'s slabs, one slab held at a time."""
-        total = [0] * 5
+        total = [0] * 6
         for bounds in group:
             interior = _interior(n, k, *bounds)
             for p1, weight in enumerate(weights):
@@ -294,7 +294,7 @@ def walk_census(n: int, k: int) -> WalkCensus:
     slabs = _slabs(n, k)
     workers = min(thread_count(), len(slabs))
     groups = [slabs[w::workers] for w in range(workers)]
-    matched, opposed, solutions, cells, ties = (
+    matched, opposed, solutions, cells, ties, nonpair = (
         sum(column) for column in zip(*parallel_map(tally, groups)))
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
@@ -308,7 +308,7 @@ def walk_census(n: int, k: int) -> WalkCensus:
             block_ties={(a, b): int(ties[r, pair_index.index((a - 1, b - 1))])
                         for a, b in p.blocks},
         )
-    return WalkCensus(n, k, n**k, tallies, n**k - int(matched.sum()))
+    return WalkCensus(n, k, n**k, tallies, nonpair)
 
 
 def _scale(n: int, k: int) -> int:
@@ -316,32 +316,10 @@ def _scale(n: int, k: int) -> int:
     return n ** (k // 2 + 1)
 
 
-def opposed_ratio(census: WalkCensus, p: PairPartition) -> float:
-    """Opposed-walk count normalized by n^(k/2 + 1)."""
-    return census.tallies[p.canonical()].opposed / _scale(census.n, census.k)
-
-
 def solution_ratio(census: WalkCensus, p: PairPartition) -> float:
-    """Cancellation-system solution count normalized by n^(k/2 + 1).
-
-    This is the lattice-point count whose limit is the partition's volume.
-    At k <= 6 it equals volume + (1 - volume)/n^2 at every size checked,
-    against an O(1/n) shortfall for the opposed ratio.
-    """
+    """Cancellation-system solution count normalized by n^(k/2 + 1); see
+    `corrdiag.acceptance` for why criterion 7 compares it with the volume."""
     return census.tallies[p.canonical()].solutions / _scale(census.n, census.k)
-
-
-def extrapolated_opposed_ratio(p: PairPartition, n_grid: tuple[int, ...]) -> float:
-    """Intercept of a linear fit of the opposed ratio against 1/n.
-
-    The raw ratio converges like c0 + c1/n + ..., so two or more sizes give
-    a far better estimate of the limit than the largest affordable n alone.
-    """
-    if len(n_grid) < 2:
-        raise ValueError("extrapolation needs at least two sizes")
-    ratios = [opposed_ratio(walk_census(n, p.k), p) for n in n_grid]
-    inv = 1.0 / np.asarray(n_grid, dtype=np.float64)
-    return float(np.polyfit(inv, ratios, 1)[1])
 
 
 def check_cell_bound(n: int, k: int) -> dict:

@@ -41,14 +41,6 @@ class PairPartition:
         if list(self.blocks) != sorted(self.blocks):
             raise ValueError("blocks must be sorted by smaller element")
 
-    def partner(self, i: int) -> int:
-        for a, b in self.blocks:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise ValueError(f"index {i} outside 1..{self.k}")
-
     def canonical(self) -> str:
         """Text key, e.g. '1-3,2-4'."""
         return ",".join(f"{a}-{b}" for a, b in self.blocks)

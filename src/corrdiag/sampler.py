@@ -160,10 +160,9 @@ def _stream_states(seed: int, realization: int, n: int) -> list[tuple[int, int]]
 
     Runs SeedSequence's entropy mixing and generate_state(4, np.uint64) as
     uint32 arithmetic on arrays of length n, then PCG64's seeding step
-    (inc = 2 seq + 1, two LCG steps) in Python ints.  A negative seed or
-    realization raises ValueError here, before anything is allocated.
+    (inc = 2 seq + 1, two LCG steps) in Python ints.  The seed and
+    realization must be non-negative; `build_matrix` checks them first.
     """
-    np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects what numpy rejects
     # SeedSequence's entropy words: the seed's uint32 words zero-padded to the
     # pool size of 4, the realization's words, then the offset (one word, r < 2^32)
     seed_words = _uint32_words(seed)

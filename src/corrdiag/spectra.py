@@ -88,9 +88,12 @@ def run_ensemble(
 
     Per-realization results are collected into arrays indexed by the
     realization number and reduced at the end, so the aggregate does not
-    depend on scheduling order.  A size whose matrices in flight (one per
-    worker thread) would exceed `sampler.MATRIX_GUARD` is rejected before
-    the first sample.
+    depend on scheduling order.  A run whose arrays would exceed
+    `sampler.MATRIX_GUARD` is rejected before the first sample.  Counted in
+    8-byte words, those are per worker thread one n x n matrix and the two
+    histogram-length temporaries ``np.histogram`` holds besides the counts
+    row it returns; the bins + 1 edges; one counts row and one moment row
+    per realization; and the moment stack and the running count sum.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -102,7 +105,10 @@ def run_ensemble(
     if not lo < hi:
         raise ValueError(f"histogram range must be increasing, got {hist_range}")
     threads = thread_count()
-    check_matrix_bytes(8 * n * n * threads, f"n={n} matrices on {threads} thread(s)")
+    need = 8 * (threads * (n * n + 2 * (bins + 1)) + (realizations + 2) * (bins + 1)
+                + 2 * realizations * kmax)
+    check_matrix_bytes(need, f"n={n}, {realizations} realization(s) of {bins} bins "
+                             f"on {threads} thread(s)")
     edges = np.linspace(lo, hi, bins + 1)
 
     def one(r: int):
@@ -114,7 +120,9 @@ def run_ensemble(
 
     results = parallel_map(one, range(realizations))
     per = np.stack([row for row, _, _, _ in results])
-    counts = np.sum([c for _, c, _, _ in results], axis=0, dtype=np.int64)
+    counts = np.zeros(bins, dtype=np.int64)
+    for _, c, _, _ in results:
+        counts += c
     underflow = sum(u for _, _, u, _ in results)
     overflow = sum(o for _, _, _, o in results)
     moments = per.mean(axis=0)

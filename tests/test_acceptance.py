@@ -3,16 +3,8 @@
 Each test prints the criterion's PASS/FAIL line (visible with -s, and in the
 failure report otherwise) and asserts that the criterion holds.
 
-Criterion 7's ratio clauses (k=4 at n=40, k=6 at n=10) compare the
-normalized number of walks solving each partition's cancellation system
-d_i = -d_j with the cube-section volumes.  Those walks are the lattice
-points of n times the volume's polytope, and their gap to the volumes is
-O(1/n^2) (exact closed forms in test_oracle.py): 0.0004 at k=4 and 0.006
-at k=6.  The opposed count (walks whose |step| pattern is
-exactly the partition) leaves out walks with extra coincidences and sits
-about 4/n lower at k=6 (0.376 at n=10), outside the k=6 band; its own
-convergence is checked by the decay clauses and by the extrapolation test
-in test_oracle.py.
+Which walk count criterion 7 compares with the volumes is explained in the
+calibration notes of `corrdiag.acceptance`.
 """
 
 import pytest
@@ -71,8 +63,6 @@ def test_criterion_6_curie_weiss_transition(out_dir):
 
 def test_criterion_7_exhaustive_counting(out_dir):
     result = _run(7, out_dir)
-    # the ratio clauses compare cancellation-system solution counts, which
-    # reach the volumes within O(1/n^2) (see module docstring)
     assert result.passed, "\n".join(result.details)
 
 

@@ -281,6 +281,7 @@ def test_matrix_memory_guard_exits_before_allocating(tmp_path, capsys):
 
     target = tmp_path / "d"
     for argv in (("simulate", "--n", "200000", "--out", str(target)),
+                 ("simulate", "--n", "5", "--bins", "1000000000", "--out", str(target)),
                  ("simulate", "--n", "20000", "--check-conditions")):
         tracemalloc.start()
         try:
@@ -330,6 +331,8 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("simulate", "--n", "10", "--bins", "0"),
     ("simulate", "--n", "10", "--k", "0"),
     ("simulate", "--seed", "-1", "--n", "5", "--realizations", "2"),
+    ("moments", "--k", "18", "--samples", "1"),
+    ("moments", "--k", "0"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

@@ -75,12 +75,6 @@ def test_canonical_roundtrip():
             assert PairPartition.from_string(p.canonical()) == p
 
 
-def test_partner_lookup():
-    p = PairPartition.from_string("1-5,2-3,4-6")
-    assert p.partner(1) == 5 and p.partner(5) == 1
-    assert p.partner(2) == 3 and p.partner(4) == 6
-
-
 def test_validation_rejects_bad_blocks():
     with pytest.raises(ValueError):
         PairPartition(4, ((1, 2), (2, 4)))  # reused element

@@ -2,8 +2,6 @@
 
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -100,6 +98,49 @@ def test_run_ensemble_guard_counts_one_matrix_per_thread(monkeypatch):
     with pytest.raises(ValueError, match="memory guard"):
         run_ensemble(10000, Independent(), 2, seed=0)
     assert built == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_ensemble_guard_accepts_benchmark_shape(monkeypatch, threads):
+    import corrdiag.spectra as spectra
+
+    # the benchmark's ensemble: n = 1000, 6 realizations, 100 bins
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(spectra, "build_matrix", build)
+    monkeypatch.setenv("CORRDIAG_THREADS", threads)
+    with pytest.raises(Built):
+        run_ensemble(1000, Independent(), 6, bins=100, seed=0)
+
+
+@pytest.mark.parametrize("realizations", [4, 16])
+def test_run_ensemble_peak_within_guard_estimate(monkeypatch, realizations):
+    import tracemalloc
+
+    import corrdiag.spectra as spectra
+    from corrdiag.sampler import check_matrix_bytes
+
+    # at many bins the histogram and per-realization rows dominate the estimate
+    estimates = []
+
+    def record(need, what):
+        estimates.append(need)
+        check_matrix_bytes(need, what)
+
+    monkeypatch.setattr(spectra, "check_matrix_bytes", record)
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    run_ensemble(20, Equicorrelated(0.5), 2, bins=10, seed=1)  # load lazy imports first
+    tracemalloc.start()
+    try:
+        run_ensemble(20, Equicorrelated(0.5), realizations, bins=200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.85 * estimates[-1] <= peak <= estimates[-1], (peak, estimates[-1])
 
 
 def test_thread_count_does_not_change_results():
