@@ -2,6 +2,12 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# one BLAS thread, so ensemble CSVs keep their bytes on any core count; a
+# caller who set the variable, or imported NumPy first, keeps its setting
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .curie_weiss import (
     limiting_correlation,
     magnetization_levels,

@@ -17,30 +17,12 @@ from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .curie_weiss import limiting_correlation, pair_correlation, spontaneous_magnetization
 from .moments import DEFAULT_SAMPLES, closed_form_moments, limiting_moment
-from .oracle import (
-    census_report,
-    check_cell_bound,
-    walk_census,
-)
+from .oracle import census_report, check_cell_bound, walk_census
 from .partitions import MAX_GROUND_SET, PairPartition, enumerate_pair_partitions, height, is_crossing
-from .sampler import (
-    CurieWeiss,
-    Equicorrelated,
-    GeneratorSpec,
-    Independent,
-    Toeplitz,
-    build_matrix,
-    child_seed,
-    validate_conditions,
-)
-from .spectra import (
-    moment_comparison_rows,
-    render,
-    run_ensemble,
-    write_histogram_csv,
-    write_lines,
-    write_moment_csv,
-)
+from .sampler import (CurieWeiss, Equicorrelated, GeneratorSpec, Independent, Toeplitz,
+                      build_matrix, child_seed, validate_conditions)
+from .spectra import (moment_comparison_rows, render, run_ensemble, write_histogram_csv,
+                      write_lines, write_moment_csv)
 from .volumes import VolumeCache, toeplitz_volume
 
 

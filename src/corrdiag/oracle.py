@@ -50,11 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_map, thread_count
-from .partitions import PairPartition, blocks_cross, enumerate_pair_partitions, height
+from ._parallel import check_memory, parallel_map, workers
+from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerate_pair_partitions, height
 
 COST_GUARD = 10**8
-MEMORY_GUARD = 2**29  # bytes of census arrays, as `_census_bytes` estimates them
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
 # Walks of the (p_2, ..., p_k) grid per slab.  A census holds one slab per
 # worker, so its memory stays a few MiB at every n.  Narrower slabs lose time
@@ -90,8 +89,8 @@ def _mask_dtype(k: int):
     return np.int32 if k * (k - 1) // 2 <= 31 else np.int64
 
 
-def _census_bytes(n: int, k: int, threads: int) -> int:
-    """Peak bytes of census arrays, estimated from their shapes.
+def _census_bytes(n: int, k: int) -> int:
+    """Peak bytes of one worker's census arrays, estimated from their shapes.
 
     Each worker holds one slab of W = min(n^(k-1), _SLAB) walks at a time.
     With b = 4 or 8 bytes per bitmask, the slab's interior holds int16
@@ -109,31 +108,27 @@ def _census_bytes(n: int, k: int, threads: int) -> int:
     A worker also keeps up to four sets of tallies (its running total, the
     next one, a chunk's counts and their weighted copy), each
     8P(2 * pairs + 4) bytes for P pair partitions.  The estimate is
-    threads * (W(4k + 30 + 6b) + 32P(2 * pairs + 4)).
+    W(4k + 30 + 6b) + 32P(2 * pairs + 4) bytes per worker.
     """
     width = min(n ** (k - 1), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
-    return threads * (width * (4 * k + 30 + 6 * b) + 32 * parts * (2 * pairs + 4))
+    return width * (4 * k + 30 + 6 * b) + 32 * parts * (2 * pairs + 4)
 
 
 def _check_cost(n: int, k: int) -> None:
-    """Reject (n, k) before anything is allocated: too many walks, too many
-    step pairs for one bitmask, or more census bytes than MEMORY_GUARD."""
+    """Reject (n, k) before anything is allocated: a k with no pair
+    partitions, too many walks, too many step pairs for one bitmask, or more
+    census bytes, one slab per worker, than the memory guard allows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_ground_set(k)
     if n**k > COST_GUARD:
         raise ValueError(f"n^k = {n**k} exceeds the cost guard {COST_GUARD}")
     pairs = k * (k - 1) // 2
     if pairs > MASK_BITS:
         raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
-    threads = thread_count()
-    need = _census_bytes(n, k, threads)
-    if need > MEMORY_GUARD:
-        raise ValueError(
-            f"(n, k) = ({n}, {k}) needs about {need / 2**20:.0f} MiB of census arrays with "
-            f"{threads} thread(s), over the memory guard of {MEMORY_GUARD / 2**20:.0f} MiB"
-        )
+    check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=len(_slabs(n, k)))
 
 
 def _signature(p: PairPartition, pair_index) -> int:
@@ -292,8 +287,8 @@ def walk_census(n: int, k: int) -> WalkCensus:
 
     # each worker sums its own slabs, so the tallies held stay one set per worker
     slabs = _slabs(n, k)
-    workers = min(thread_count(), len(slabs))
-    groups = [slabs[w::workers] for w in range(workers)]
+    count = workers(len(slabs))
+    groups = [slabs[w::count] for w in range(count)]
     matched, opposed, solutions, cells, ties, nonpair = (
         sum(column) for column in zip(*parallel_map(tally, groups)))
     row = {key: r for r, key in enumerate(ordered)}

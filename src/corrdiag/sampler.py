@@ -29,11 +29,6 @@ word w gives the uniform ((w >> 11) + 0.5) * 2^-53.
 derives the PCG64 states of all n child streams in one vectorized pass,
 loads each into one reused PCG64, and reads raw words a slab of whole
 diagonals at a time.
-
-Memory guard: `build_matrix` (8n^2 bytes), `spectra.run_ensemble` (8n^2
-bytes per worker thread) and `validate_conditions` (about 3 * draws * n
-float64 values) reject a size whose float64 arrays would exceed MATRIX_GUARD
-bytes before they allocate anything.
 """
 
 from __future__ import annotations
@@ -43,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import check_memory
 from .curie_weiss import pair_correlation, sample_spins
-
-MATRIX_GUARD = 2**30  # bytes of float64 arrays one call may allocate
 
 
 @dataclass(frozen=True)
@@ -119,20 +113,13 @@ def child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def check_matrix_bytes(need: int, what: str) -> None:
-    """Reject ``need`` bytes of float64 arrays over MATRIX_GUARD, naming ``what``."""
-    if need > MATRIX_GUARD:
-        raise ValueError(f"{what} needs about {need / 2**20:.0f} MiB of float64 arrays, "
-                         f"over the memory guard of {MATRIX_GUARD / 2**20:.0f} MiB")
-
-
 def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0) -> np.ndarray:
     """One realization of the scaled symmetric matrix as a dense float array."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     if not isinstance(gen, GeneratorSpec):
         raise TypeError(f"unknown generator spec: {gen!r}")
-    check_matrix_bytes(8 * n * n, f"an n={n} matrix")
+    check_memory(f"an n={n} matrix", 8 * n * n)
     np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects a negative seed or realization
     # allocate the matrix before the seed arrays: those small arrays would
     # otherwise split the heap hole that the last freed matrix left, the new
@@ -312,7 +299,7 @@ def validate_conditions(gen: GeneratorSpec, n: int, draws: int, seed: int = 0) -
     # first and second, one draws x n temporary at a time, four vectors of
     # length draws, and the buffer of one NumPy ufunc call
     need = 8 * (draws * (3 * n + 4) + np.getbufsize())
-    check_matrix_bytes(need, f"{draws} draws of two diagonals at n={n}")
+    check_memory(f"{draws} draws of two diagonals at n={n}", need)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     first = np.empty((draws, n))
     for row in first:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import parallel_map, thread_count
-from .sampler import GeneratorSpec, build_matrix, check_matrix_bytes, child_seed
+from ._parallel import check_memory, parallel_map
+from .sampler import GeneratorSpec, build_matrix, child_seed
 
 TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
@@ -88,12 +88,12 @@ def run_ensemble(
 
     Per-realization results are collected into arrays indexed by the
     realization number and reduced at the end, so the aggregate does not
-    depend on scheduling order.  A run whose arrays would exceed
-    `sampler.MATRIX_GUARD` is rejected before the first sample.  Counted in
-    8-byte words, those are per worker thread one n x n matrix and the two
-    histogram-length temporaries ``np.histogram`` holds besides the counts
-    row it returns; the bins + 1 edges; one counts row and one moment row
-    per realization; and the moment stack and the running count sum.
+    depend on scheduling order.  The memory guard (`corrdiag._parallel`)
+    counts per worker 17n^2 bytes (the matrix, the copy ``eigvalsh`` hands
+    LAPACK and the n^2-byte finiteness mask) and the two bins + 1 float64
+    temporaries of ``np.histogram``; shared, in 8-byte words, the bins + 1
+    edges, one counts row and one moment row per realization, the moment
+    stack and the running count sum.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -104,11 +104,10 @@ def run_ensemble(
     lo, hi = hist_range
     if not lo < hi:
         raise ValueError(f"histogram range must be increasing, got {hist_range}")
-    threads = thread_count()
-    need = 8 * (threads * (n * n + 2 * (bins + 1)) + (realizations + 2) * (bins + 1)
-                + 2 * realizations * kmax)
-    check_matrix_bytes(need, f"n={n}, {realizations} realization(s) of {bins} bins "
-                             f"on {threads} thread(s)")
+    check_memory(f"n={n}, {realizations} realization(s) of {bins} bins",
+                 17 * n * n + 16 * (bins + 1),
+                 8 * ((realizations + 2) * (bins + 1) + 2 * realizations * kmax),
+                 jobs=realizations)
     edges = np.linspace(lo, hi, bins + 1)
 
     def one(r: int):

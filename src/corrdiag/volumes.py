@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import check_memory, parallel_map
 from .partitions import PairPartition, is_crossing
 from .spectra import write_lines
 
@@ -122,15 +122,20 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
 
     Non-crossing partitions return 1 exactly.  Crossing partitions are
     estimated with ``samples`` uniform points of the free variables; the
-    standard error is the binomial plug-in sqrt(v(1-v)/samples).
+    standard error is the binomial plug-in sqrt(v(1-v)/samples).  The memory
+    guard counts, per worker, one chunk of points: k/2 + 1 float64
+    coordinates, and per kept row (at most k/2) a float64 value and three
+    booleans.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not is_crossing(p):
         return VolumeEstimate(1.0, 0.0, samples, seed, True)
 
+    half, starts = p.k // 2, range(0, samples, _CHUNK)
+    check_memory(f"a k={p.k} volume", min(_CHUNK, samples) * (8 * (2 * half + 1) + 3 * half),
+                 jobs=len(starts))
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix())
-    starts = range(0, samples, _CHUNK)
     counts = parallel_map(
         lambda start: _chunk_hits(seed, start, min(_CHUNK, samples - start), rows),
         starts,

@@ -257,13 +257,13 @@ def test_oracle_out_file_is_header_then_report(tmp_path, capsys):
 def test_oracle_memory_guard_exits_before_allocating(capsys, monkeypatch):
     import tracemalloc
 
-    from corrdiag import oracle
+    from corrdiag import _parallel, oracle
 
     # a census holds one slab per worker, so these shapes fit in a few MiB and
     # only the walk-count guard bounds them; a lowered memory guard refuses them
     oracle._check_cost(10, 8)
     oracle._check_cost(6, 10)
-    monkeypatch.setattr(oracle, "MEMORY_GUARD", oracle._census_bytes(6, 8, 1) // 2)
+    monkeypatch.setattr(_parallel, "MEMORY_GUARD", oracle._census_bytes(6, 8) // 2)
     for n, k in (("6", "10"), ("10", "8")):
         tracemalloc.start()
         try:
@@ -293,6 +293,34 @@ def test_matrix_memory_guard_exits_before_allocating(tmp_path, capsys):
         assert "memory guard" in err
         assert peak < 2**22  # the arrays would need over a hundred gigabytes
         assert not target.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_before_creating_out_dir(tmp_path, capsys, monkeypatch,
+                                                             threads):
+    target = tmp_path / "d"
+    monkeypatch.setenv("CORRDIAG_THREADS", threads)
+    code, out, err = run_cli(capsys, "simulate", "--n", "10", "--realizations", "2",
+                             "--out", str(target))
+    assert code == 2 and out == ""
+    assert "CORRDIAG_THREADS must be a positive integer" in err
+    assert not target.exists()
+
+
+def test_ensemble_bytes_independent_of_blas_and_worker_threads(tmp_path):
+    # at n = 1000 two OpenBLAS threads change eigvalsh's bytes; importing
+    # corrdiag pins one BLAS thread unless the caller chose a setting
+    base = _fresh_interpreter_env()
+    for name in ("OPENBLAS_NUM_THREADS", "CORRDIAG_THREADS"):
+        base.pop(name, None)
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"CORRDIAG_THREADS": "2"}):
+        out = tmp_path / str(len(outputs))
+        subprocess.run([sys.executable, "-m", "corrdiag.cli", "simulate", "--n", "1000",
+                        "--realizations", "2", "--out", str(out)],
+                       env={**base, **extra}, capture_output=True, check=True)
+        outputs.append([(out / name).read_bytes() for name in ("histogram.csv", "moments.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_oracle_check_heights(capsys):
@@ -333,6 +361,8 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("simulate", "--seed", "-1", "--n", "5", "--realizations", "2"),
     ("moments", "--k", "18", "--samples", "1"),
     ("moments", "--k", "0"),
+    ("oracle", "--n", "5", "--k", "0"),
+    ("oracle", "--n", "5", "--k", "3"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

@@ -311,6 +311,12 @@ def test_memory_guard_accepts_every_tested_shape(monkeypatch):
             _check_cost(n, k)
 
 
+def test_memory_guard_counts_slabs_not_requested_threads(monkeypatch):
+    # (60, 4) has 4 slabs, so 128 requested threads start 4 workers
+    monkeypatch.setenv("CORRDIAG_THREADS", "128")
+    _check_cost(60, 4)
+
+
 def test_mask_width_guard_rejects_k12():
     # k=12 has 66 step pairs, more than one int64 bitmask can hold
     with pytest.raises(ValueError, match="step pairs"):
@@ -419,5 +425,5 @@ def test_census_peak_within_memory_estimate(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _census_bytes(n, k, 1)
+        assert peak <= _census_bytes(n, k)
         assert peak <= 8 * 2**20

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from corrdiag._parallel import check_memory
 from corrdiag.curie_weiss import _level_cdf, pair_correlation
 from corrdiag.sampler import (
     CurieWeiss,
@@ -14,7 +15,6 @@ from corrdiag.sampler import (
     Independent,
     Toeplitz,
     build_matrix,
-    check_matrix_bytes,
     child_seed,
     diagonal_rng,
     sample_diagonal,
@@ -110,8 +110,8 @@ def test_validate_conditions_rejects_tiny_runs():
 def test_matrix_guard_accepts_benchmark_sizes_and_rejects_huge_ones():
     # n = 1000 matrices on 2 threads and the CLI's condition check at n = 1000
     # (20 draws per site) stay under the guard; n = 20000 is rejected unbuilt
-    check_matrix_bytes(8 * 1000**2 * 2, "ensemble")
-    check_matrix_bytes(8 * (20 * 1000 * (3 * 1000 + 4) + np.getbufsize()), "conditions")
+    check_memory("ensemble", 8 * 1000**2 * 2)
+    check_memory("conditions", 8 * (20 * 1000 * (3 * 1000 + 4) + np.getbufsize()))
     with pytest.raises(ValueError, match="memory guard"):
         build_matrix(20000, Independent())
 
@@ -124,11 +124,11 @@ def test_validate_conditions_peak_within_guard_estimate(monkeypatch, n, draws):
 
     estimates = []
 
-    def record(need, what):
-        estimates.append(need)
-        check_matrix_bytes(need, what)
+    def record(what, need, shared=0, jobs=1):
+        estimates.append(need + shared)
+        check_memory(what, need, shared, jobs)
 
-    monkeypatch.setattr(sampler, "check_matrix_bytes", record)
+    monkeypatch.setattr(sampler, "check_memory", record)
     for gen in (Equicorrelated(0.5), CurieWeiss(2.0)):
         tracemalloc.start()
         try:

@@ -88,16 +88,45 @@ def test_run_ensemble_rejects_bad_shape_before_sampling(monkeypatch, bad):
     assert built == []
 
 
-def test_run_ensemble_guard_counts_one_matrix_per_thread(monkeypatch):
+def test_run_ensemble_guard_refuses_n10000_before_building(monkeypatch):
     import corrdiag.spectra as spectra
 
-    # one n=10000 matrix fits the guard, two in flight do not
+    # an n=10000 worker holds its matrix, LAPACK's copy and the finiteness
+    # mask: 17n^2 bytes, over the guard on one worker already
     built = []
     monkeypatch.setattr(spectra, "build_matrix", lambda *args, **kwargs: built.append(args))
     monkeypatch.setenv("CORRDIAG_THREADS", "2")
     with pytest.raises(ValueError, match="memory guard"):
         run_ensemble(10000, Independent(), 2, seed=0)
     assert built == []
+
+
+def test_run_ensemble_guard_counts_the_eigvalsh_copy(monkeypatch):
+    import corrdiag.spectra as spectra
+
+    # one n=9000 matrix is 648 MB, but 17n^2 bytes (1377 MB) exceed 1 GiB
+    built = []
+    monkeypatch.setattr(spectra, "build_matrix", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    with pytest.raises(ValueError, match="memory guard"):
+        run_ensemble(9000, Independent(), 1, seed=0)
+    assert built == []
+
+
+def test_run_ensemble_guard_counts_workers_that_start(monkeypatch):
+    import corrdiag.spectra as spectra
+
+    # 64 threads requested, but 2 realizations start 2 workers of 17n^2 bytes
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(spectra, "build_matrix", build)
+    monkeypatch.setenv("CORRDIAG_THREADS", "64")
+    with pytest.raises(Built):
+        run_ensemble(2000, Independent(), 2, seed=0)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -122,16 +151,16 @@ def test_run_ensemble_peak_within_guard_estimate(monkeypatch, realizations):
     import tracemalloc
 
     import corrdiag.spectra as spectra
-    from corrdiag.sampler import check_matrix_bytes
+    from corrdiag._parallel import check_memory
 
     # at many bins the histogram and per-realization rows dominate the estimate
     estimates = []
 
-    def record(need, what):
-        estimates.append(need)
-        check_matrix_bytes(need, what)
+    def record(what, per_worker, shared=0, jobs=1):
+        estimates.append(per_worker + shared)  # one worker
+        check_memory(what, per_worker, shared, jobs)
 
-    monkeypatch.setattr(spectra, "check_matrix_bytes", record)
+    monkeypatch.setattr(spectra, "check_memory", record)
     monkeypatch.setenv("CORRDIAG_THREADS", "1")
     run_ensemble(20, Equicorrelated(0.5), 2, bins=10, seed=1)  # load lazy imports first
     tracemalloc.start()

@@ -149,6 +149,55 @@ def test_rows_that_can_fail_drop_unit_and_repeated_rows():
     assert _rows_that_can_fail(doubled).tolist() == [[1.0, -1.0, 1.0]]
 
 
+def test_volume_guard_refuses_huge_k_before_solving(monkeypatch):
+    import tracemalloc
+
+    import corrdiag.volumes as vol
+
+    # 1000 blocks, the first two crossing: one 2^18-point chunk would hold
+    # about 5 GB of coordinates, constraint values and booleans
+    p = PairPartition(2000, ((1, 3), (2, 4), *((i, i + 1) for i in range(5, 2000, 2))))
+    called = []
+    monkeypatch.setattr(vol, "_chunk_hits", lambda *args: called.append(args))
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory guard"):
+            toeplitz_volume(p, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert called == []
+    assert peak < 2**22
+
+
+def test_volume_peak_within_guard_estimate(monkeypatch):
+    import tracemalloc
+
+    import corrdiag.volumes as vol
+    from corrdiag._parallel import check_memory
+
+    # a k=8 partition with the most kept rows (3); 300000 samples make one
+    # full chunk and one partial chunk
+    estimates = []
+
+    def record(what, per_worker, shared=0, jobs=1):
+        estimates.append(per_worker + shared)  # one worker
+        check_memory(what, per_worker, shared, jobs)
+
+    monkeypatch.setattr(vol, "check_memory", record)
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    p = PairPartition.from_string("1-5,2-8,3-6,4-7")
+    toeplitz_volume(p, 1000, 1)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        toeplitz_volume(p, 300_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * estimates[-1] <= peak <= estimates[-1], (peak, estimates[-1])
+
+
 @pytest.mark.parametrize("canonical, hits", [
     ("1-6,2-7,3-8,4-9,5-10", 13363),
     ("1-3,2-5,4-7,6-9,8-10", 10868),
