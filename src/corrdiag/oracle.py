@@ -14,31 +14,37 @@ For each opposed walk we also count shared matrix cells: index pairs i < j
 whose steps touch the same unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} —
 and, per block, whether that block itself is cell-tied.
 
-Everything is exact integer counting over every walk.  The walks are
-split by p_1 into chunks and by (p_2, ..., p_k) into slabs of at most
+Everything is exact integer counting over every walk.  Every count the
+census keeps depends only on the steps and on differences of positions,
+so it scans only the n^(k-1) walks w with p_1 = 0 (0-based) and credits
+each to the walks it stands for.  Let t(w) be the length of w's trailing
+run of non-zero sites and s(w) = max w its span.  For j = 0..t(w) the
+rotation roll(w, j) is the unique walk with lowest site 0 whose first 0
+sits at index j, and each such rotation has n - s(w) translates on
+{0, ..., n-1}: every walk is one translate of one rotation of one scanned
+walk.  Rotating the step indices by j turns w's counts for a partition Q
+into the counts of the rotated partition, block (a, b) becoming block
+(a+j, b+j) mod k, and the shared-cell tests are symmetric in the two
+steps, so a cell count is the same for every rotation.  So each slab
+tallies its walks once, weighted by n - s and keyed by (partition, t),
+and the census finally credits rotation j with the counts of every t >= j
+through two tables: the rotated partition of each partition and the
+rotated bit of each pair bit.
+
+The scanned walks are split by (p_2, ..., p_k) into slabs of at most
 `_SLAB` walks, so a census holds one slab per worker and its memory stays
 bounded whatever n is.  Each walk carries two bitmasks with one bit per
-pair of steps: |d_i| = |d_j| and d_i = -d_j.  The positions p_2..p_k, the
-steps d_2..d_{k-1} and the bits of every pair among those steps do not
-depend on p_1, so `_interior` builds them once per slab and `_walk_masks`
-adds, per p_1, only the 2k-3 pairs involving d_1 or d_k.  A partition's
-signature sets one bit per block, k/2 in all, and a walk's |step| mask
-equals at most one signature.  So one bit count keeps the walks whose mask
-has k/2 bits, one sorted lookup assigns each of those to its partition or
-to none, and `np.bincount` tallies every partition in that one pass.
-Shared cells are worked out afterwards, for the opposed walks only.  Both
-the census and the search for a walk below the cell bound scan the walks
-this way.
-
-The census tallies only the chunks p_1 < n/2 (0-based) and counts each
-twice, plus the middle chunk once when n is odd.  The reflection
-p -> n-1-p of every site maps the walks starting at p_1 one to one onto
-those starting at n-1-p_1 and negates every step.  That keeps |d_i| = |d_j|,
-d_i = -d_j, and both shared-cell tests (p_i = p_j with d_i = d_j,
-p_i = p_{j+1} with d_i = -d_j), so the two chunks tally the same counts
-and the chunks p_1 >= n/2 need not be scanned.  The search for a walk
-below the cell bound still scans every chunk in order, and within it every
-slab in order, because it returns the first such walk.
+pair of steps: |d_i| = |d_j| and d_i = -d_j.  `_interior` builds the
+positions p_2..p_k, the steps d_2..d_{k-1} and the bits of every pair
+among those steps, and `_walk_masks` adds the 2k-3 pairs involving d_1 or
+d_k for a given p_1.  A partition's signature sets one bit per block, k/2
+in all, and a walk's |step| mask equals at most one signature.  So one bit
+count keeps the walks whose mask has k/2 bits, one sorted lookup assigns
+each of those to its partition or to none, and `np.bincount` tallies every
+partition in that one pass.  Shared cells are worked out afterwards, for
+the opposed walks only.  The search for a walk below the cell bound scans
+every p_1 in order, and within it every slab in order, because it returns
+the first such walk.
 """
 
 from __future__ import annotations
@@ -77,11 +83,12 @@ class WalkCensus:
     k: int
     total_walks: int
     tallies: dict[str, PartitionTally]
-    nonpair_walks: int  # scanned walks that matched no partition
+    nonpair_walks: int  # walks that matched no partition, credited from the scanned ones
 
     def partition_sum_identity(self) -> bool:
-        """Matched plus non-pair walks, each counted as scanned, make up all
-        n^k walks: the slabs and reflection weights cover each walk once."""
+        """Matched plus non-pair walks, each credited from the scanned walks,
+        make up all n^k walks: the slabs, rotations and translates cover
+        each walk once."""
         return self.nonpair_walks + sum(t.matched for t in self.tallies.values()) == self.total_walks
 
 
@@ -92,28 +99,39 @@ def _mask_dtype(k: int):
 def _census_bytes(n: int, k: int) -> int:
     """Peak bytes of one worker's census arrays, estimated from their shapes.
 
-    Each worker holds one slab of W = min(n^(k-1), _SLAB) walks at a time.
-    With b = 4 or 8 bytes per bitmask, the slab's interior holds int16
-    positions (k-1)W and steps (k-2)W and two bitmasks: W(4k - 6 + 2b)
-    bytes.  Building it takes at most W(12 + b): the int32 digits, or the
-    two uint8 rows that gather a byte of bits, one pair's booleans and one
-    widened row.  A chunk holds its own two bitmasks and, while it counts
-    distinct reversal masks, their sorted copy.  The filter holds one uint8
-    bit count and one bool per walk, then the int64 index of the candidate
-    walks (those with k/2 |step| bits).  The lookup holds, per candidate, a
-    copy of its mask, an int64 partition slot and its clipped copy.  That
-    is at most W(3b + 24) when every walk is a candidate, as at k = 2; at
-    the benchmark's shapes at most 37% of a chunk's walks are.  Shared
-    cells are worked out for the opposed walks only, a small share of W.
-    A worker also keeps up to four sets of tallies (its running total, the
-    next one, a chunk's counts and their weighted copy), each
-    8P(2 * pairs + 4) bytes for P pair partitions.  The estimate is
-    W(4k + 30 + 6b) + 32P(2 * pairs + 4) bytes per worker.
+    Each worker holds one slab of W = min(n^(k-1), _SLAB) walks from p_1 = 0
+    at a time.  With b = 4 or 8 bytes per bitmask, a slab being tallied
+    holds W(4k - 3 + 4b) bytes: the interior's int16 positions (k-1)W and
+    steps (k-2)W and its two bitmasks, the walks' own two bitmasks, an int8
+    trailing run and an int16 weight.  (Building the interior takes at most
+    W(12 + b) more, less than any stage below.)  On top of that comes the
+    largest of three stages:
+
+    - `np.unique` of the reversal masks: W(25 + 2b) for a flattened and a
+      sorted copy of the masks, the int64 sort order, one bool per walk and
+      two int64 index rows, plus the D distinct masks, bD.
+    - The solutions table: the int64 key and float64 weights that build it,
+      16W, then 8kD for its D x k float64 rows and as much again for the
+      rows cut down for one bit of step 1, plus 2b + 10 bytes per mask for
+      the masks and their tests.  D <= min(W, 2^pairs), so this assumes
+      every reversal mask in the slab is distinct.
+    - The lookup and shared cells: at most W(2b + 56) when every walk is a
+      candidate (has k/2 |step| bits), as at k = 2, for the candidates'
+      masks, int64 indices, slots and keys, and their bincount weights.
+
+    A worker also keeps up to four sets of tallies (its running total, a
+    slab's counts, and their sum over workers as float64 and int64), each
+    8k(P(2 * pairs + 4) + 1) bytes for P pair partitions: matched, opposed,
+    solutions, the shared-cell histogram and the block ties, by t.
     """
     width = min(n ** (k - 1), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
-    return width * (4 * k + 30 + 6 * b) + 32 * parts * (2 * pairs + 4)
+    masks = min(width, 2**pairs)
+    stage = max(width * (25 + 2 * b) + b * masks,
+                16 * width + masks * (16 * k + 2 * b + 10),
+                width * (2 * b + 56))
+    return width * (4 * k - 3 + 4 * b) + stage + 32 * k * (parts * (2 * pairs + 4) + 1)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -223,42 +241,106 @@ def _shared_cells(interior: _Interior, p1: int, walks: np.ndarray):
     return cell, cell_count
 
 
-def _chunk_tallies(interior: _Interior, p1: int, signatures: np.ndarray):
-    """Counts of the walks starting at p1, row r for the partition whose
-    signature is ``signatures[r]`` (sorted): matched, opposed and solutions
-    (P,), the shared-cell histogram (P, pairs + 1) and the cell ties of
-    each pair bit (P, pairs), then the number of walks that matched no
-    partition.  Each walk is visited once; shared cells are worked out for
-    the opposed walks only."""
-    eq, neg = _walk_masks(interior, p1)
-    parts, pairs = len(signatures), len(interior.pair_index)
-    values, counts = np.unique(neg, return_counts=True)
-    solutions = np.array([counts[(values & s) == s].sum() for s in signatures], dtype=np.int64)
+def _trailing_and_span(interior: _Interior):
+    """t(w), the length of the trailing run of non-zero sites (int8), and
+    the span max w (int16) of each walk of the slab that starts at p_1 = 0,
+    whose lowest site is therefore 0."""
+    trailing = np.zeros(interior.rows.shape[1], dtype=np.int8)
+    alive = np.ones(interior.rows.shape[1], dtype=bool)
+    for row in interior.rows[::-1]:
+        alive &= row != 0
+        trailing += alive
+    return trailing, interior.rows.max(axis=0)
 
+
+def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
+    """Counts of the slab's walks from p_1 = 0, each weighted by its n - s
+    translates (s its span) and keyed by t, its trailing run: matched,
+    opposed and solutions (P, k) with row r for the partition whose
+    signature is ``signatures[r]`` (sorted), the shared-cell histogram
+    (P, k, pairs + 1), the cell ties of each pair bit (P, k, pairs), and
+    all the slab's walks (k,).  Each walk is visited once; shared cells
+    are worked out for the opposed walks only.
+
+    ``np.bincount`` sums its weights in float64.  Every sum counts at most
+    n^k <= COST_GUARD < 2^53 walks, so each is an exact integer and is cast
+    back to int64 without loss."""
+    k = interior.k
+    eq, neg = _walk_masks(interior, 0)
+    trailing, span = _trailing_and_span(interior)
+    weight = n - span  # int16: n^2 <= COST_GUARD keeps n below 2^15
+    del span
+    parts, pairs = len(signatures), len(interior.pair_index)
+
+    # solutions: a (distinct reversal mask, t) table of weighted walks, then
+    # for each signature the sum of the rows whose mask contains it.  Bits
+    # 0..k-2 are the pairs (1, 2), ..., (1, k), so a signature's lowest bit is
+    # its block holding step 1: the rows are first cut down to those masks.
+    values, key = np.unique(neg, return_inverse=True)
+    key *= k
+    key += trailing
+    table = np.bincount(key, weights=weight, minlength=len(values) * k).reshape(-1, k)
+    del key
+    solutions = np.empty((parts, k))
+    first = signatures & -signatures
+    for bit in range(k - 1):
+        held = (values >> bit) & 1 == 1
+        masks, sums = values[held], np.ascontiguousarray(table[held].T)
+        for r in np.flatnonzero(first == 1 << bit):
+            solutions[r] = sums @ ((masks & signatures[r]) == signatures[r])
+    every = table.sum(axis=0)
+    del values, table, held, masks, sums
     # a signature sets one bit per block, k/2 in all: no other walk can match
     # (masks never set their sign bit, so counting the bits of |eq| is exact)
-    walks = np.flatnonzero(np.bitwise_count(eq) == interior.k // 2)
+    walks = np.flatnonzero(np.bitwise_count(eq) == k // 2)
     eq = eq[walks]
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
     hit = signatures[slot] == eq
-    walks, slot, eq = walks[hit], slot[hit], eq[hit]
+    walks, key, eq = walks[hit], slot[hit] * k + trailing[walks[hit]], eq[hit]
     neg = neg[walks]
-    matched = np.bincount(slot, minlength=parts)
-    nonpair = interior.rows.shape[1] - len(walks)
+    matched = np.bincount(key, weights=weight[walks], minlength=parts * k)
 
     hit = (neg & eq) == eq
-    walks, slot, eq = walks[hit], slot[hit], eq[hit]
-    cell, cell_count = _shared_cells(interior, p1, walks)
-    opposed = np.bincount(slot, minlength=parts)
-    cells = np.bincount(slot * (pairs + 1) + cell_count, minlength=parts * (pairs + 1))
+    walks, key, eq = walks[hit], key[hit], eq[hit]
+    cell, cell_count = _shared_cells(interior, 0, walks)
+    weight = weight[walks]
+    opposed = np.bincount(key, weights=weight, minlength=parts * k)
+    cells = np.bincount(key * (pairs + 1) + cell_count, weights=weight,
+                        minlength=parts * k * (pairs + 1))
 
     ties = cell & eq
     hit = ties != 0
-    slot, ties = slot[hit], ties[hit]
-    block_ties = np.zeros((parts, pairs), dtype=np.int64)
+    key, ties, weight = key[hit], ties[hit], weight[hit]
+    block_ties = np.zeros((parts * k, pairs))
     for bit in range(pairs):
-        block_ties[:, bit] = np.bincount(slot[((ties >> bit) & 1).astype(bool)], minlength=parts)
-    return matched, opposed, solutions, cells.reshape(parts, pairs + 1), block_ties, nonpair
+        tied = ((ties >> bit) & 1).astype(bool)
+        block_ties[:, bit] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
+    return (matched.reshape(parts, k), opposed.reshape(parts, k), solutions,
+            cells.reshape(parts, k, pairs + 1), block_ties.reshape(parts, k, pairs), every)
+
+
+def _rotations(k: int, signatures: np.ndarray, pair_index):
+    """Where rotation j, w -> roll(w, j), sends each partition slot and each
+    pair bit: (k, P) slots and (k, pairs) bits.  Step d_a of w is step
+    d_{a+j} (mod k) of roll(w, j), so pair (a, b) becomes (a+j, b+j)."""
+    bit = {ij: b for b, ij in enumerate(pair_index)}
+    bit_of = np.array([[bit[tuple(sorted(((a + j) % k, (b + j) % k)))] for a, b in pair_index]
+                       for j in range(k)])
+    has = (signatures[:, None] >> np.arange(len(pair_index))) & 1
+    rotated = (has[None] << bit_of[:, None, :].astype(signatures.dtype)).sum(axis=2)
+    return np.searchsorted(signatures, rotated), bit_of
+
+
+def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, bit_of=None) -> np.ndarray:
+    """Per-partition totals from counts keyed by (slot, t, ...): a walk with
+    trailing run t gives rotations j = 0..t, so rotation j gets the counts of
+    every t >= j, credited to the rotated slot (and, given ``bit_of``, to the
+    rotated pair bit on the last axis)."""
+    by_rotation = np.flip(np.cumsum(np.flip(counts, 1), axis=1), 1)
+    total = np.zeros((counts.shape[0], *counts.shape[2:]), dtype=np.int64)
+    index = (slot_of.T,) if bit_of is None else (slot_of.T[:, :, None], bit_of[None])
+    np.add.at(total, index, by_rotation)
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -271,26 +353,26 @@ def walk_census(n: int, k: int) -> WalkCensus:
     ordered = sorted(signature, key=signature.get)
     signatures = np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
 
-    # chunk n-1-p1 is the mirror image of chunk p1: scan the lower half, count it twice
-    weights = [2] * (n // 2) + [1] * (n % 2)
-
     def tally(group):
-        """Weighted counts of the walks in ``group``'s slabs, one slab held at a time."""
-        total = [0] * 6
-        for bounds in group:
-            interior = _interior(n, k, *bounds)
-            for p1, weight in enumerate(weights):
-                chunk = _chunk_tallies(interior, p1, signatures)
-                total = [t + weight * c for t, c in zip(total, chunk)]
-            del interior  # free this slab before the next one is built
+        """Counts of the walks from p_1 = 0 in ``group``'s slabs, one slab held at a time."""
+        total = _slab_tallies(_interior(n, k, *group[0]), n, signatures)
+        for bounds in group[1:]:
+            for held, counts in zip(total, _slab_tallies(_interior(n, k, *bounds), n, signatures)):
+                held += counts
         return total
 
     # each worker sums its own slabs, so the tallies held stay one set per worker
     slabs = _slabs(n, k)
     count = workers(len(slabs))
     groups = [slabs[w::count] for w in range(count)]
-    matched, opposed, solutions, cells, ties, nonpair = (
-        sum(column) for column in zip(*parallel_map(tally, groups)))
+    matched, opposed, solutions, cells, ties, every = (
+        sum(column).astype(np.int64) for column in zip(*parallel_map(tally, groups)))
+    # a walk with trailing run t stands for its 1 + t rotations
+    nonpair = int(np.arange(1, k + 1) @ (every - matched.sum(axis=0)))
+    slot_of, bit_of = _rotations(k, signatures, pair_index)
+    matched, opposed, solutions, cells = (
+        _credit_rotations(c, slot_of) for c in (matched, opposed, solutions, cells))
+    ties = _credit_rotations(ties, slot_of, bit_of)
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
     for p in partitions:

@@ -13,11 +13,13 @@ from corrdiag import oracle
 from corrdiag.oracle import (
     _census_bytes,
     _check_cost,
-    _chunk_tallies,
     _find_low_cell_walk,
     _interior,
     _pair_index,
+    _rotations,
     _signature,
+    _slabs,
+    _trailing_and_span,
     _walk_masks,
     census_report,
     check_excess_crossing_decay,
@@ -52,7 +54,7 @@ def test_partition_sum_identity_fails_when_a_slab_is_skipped(monkeypatch):
     slabs = oracle._slabs
     monkeypatch.setattr(oracle, "_slabs", lambda n, k: slabs(n, k)[:-1])
     census = walk_census.__wrapped__(12, 6)  # bypass the cache of full censuses
-    assert census.nonpair_walks == 2_229_634
+    assert census.nonpair_walks == 2_454_544
     assert not census.partition_sum_identity()
 
 
@@ -276,7 +278,8 @@ def _brute_force_census(n, k):
     return counts, nonpair
 
 
-@pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8), (1, 4), (4, 4), (4, 6)])
+@pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8), (1, 4), (4, 4), (4, 6), (6, 4), (2, 6), (3, 8),
+                                 (1, 2), (2, 2)])
 def test_census_matches_brute_force(n, k):
     expected, nonpair = _brute_force_census(n, k)
     census = walk_census(n, k)
@@ -290,7 +293,7 @@ def test_census_matches_brute_force(n, k):
 
 
 def test_census_identical_across_thread_counts(monkeypatch):
-    # chunks share the read-only interior arrays across worker threads
+    # each worker sums its own slabs; the sums over workers must not depend on the split
     for n, k in ((9, 4), (5, 6), (3, 8)):
         results = []
         for threads in ("1", "2"):
@@ -324,17 +327,44 @@ def test_mask_width_guard_rejects_k12():
 
 
 @pytest.mark.parametrize("n,k", [(1, 4), (6, 4), (7, 4), (1, 6), (4, 6), (5, 6), (2, 8), (3, 8)])
-def test_reflected_chunks_tally_the_same_counts(n, k):
-    # p -> n-1-p maps the walks from p1 onto those from n-1-p1 and negates
-    # every step, which the census relies on to scan only half the chunks
+def test_rotation_maps_tallies_to_rotated_partitions(n, k):
+    # the census scans only the walks from p_1 = 0 and credits each walk w to
+    # roll(w, j) for j = 0..t(w): every such rotation starts its lowest run at
+    # index j, and its |step|, reversal and cell-sharing pairs are w's pairs
+    # moved by the rotation tables the census credits them through
     interior = _interior(n, k, 0, n ** (k - 1))
-    signatures = np.array(sorted(_signature(p, interior.pair_index)
-                                 for p in enumerate_pair_partitions(k)), dtype=interior.masks.dtype)
-    for p1 in range(n):
-        here = _chunk_tallies(interior, p1, signatures)
-        mirror = _chunk_tallies(interior, n - 1 - p1, signatures)
-        for a, b in zip(here, mirror):
-            assert np.array_equal(a, b)
+    pair_index = interior.pair_index
+    signatures = np.array(sorted(_signature(p, pair_index) for p in enumerate_pair_partitions(k)),
+                          dtype=interior.masks.dtype)
+    slot_of, bit_of = _rotations(k, signatures, pair_index)
+    trailing, span = _trailing_and_span(interior)
+    for column in range(interior.rows.shape[1]):
+        walk = (0, *interior.rows[:, column].tolist())
+        t = int(trailing[column])
+        assert span[column] == max(walk)
+        assert t == next(i for i, x in enumerate(reversed(walk)) if x == 0)
+        pairs = _walk_pairs(walk, k)
+        for j in range(t + 1):
+            rolled = walk[-j:] + walk[:-j] if j else walk
+            assert rolled.index(0) == j
+            moved = tuple({pair_index[bit_of[j, pair_index.index(ij)]] for ij in group}
+                          for group in pairs)
+            assert _walk_pairs(rolled, k) == moved
+    for slot, sig in enumerate(signatures.tolist()):
+        for j in range(k):
+            rotated = sum(1 << int(bit_of[j, b]) for b in range(len(pair_index)) if sig >> b & 1)
+            assert signatures[slot_of[j, slot]] == rotated
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (12, 2), (7, 4), (20, 4), (5, 6), (3, 8)])
+def test_rotations_and_translates_cover_every_walk(n, k):
+    # each scanned walk w stands for its 1 + t(w) rotations, each with
+    # n - max(w) translates: together they are every walk on n sites once
+    covered = 0
+    for bounds in _slabs(n, k):
+        trailing, span = _trailing_and_span(_interior(n, k, *bounds))
+        covered += int(((1 + trailing.astype(np.int64)) * (n - span)).sum())
+    assert covered == n**k
 
 
 def test_every_signature_has_one_bit_per_block():
