@@ -290,6 +290,7 @@ def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
             solutions[r] = sums @ ((masks & signatures[r]) == signatures[r])
     every = table.sum(axis=0)
     del values, table, held, masks, sums
+
     # a signature sets one bit per block, k/2 in all: no other walk can match
     # (masks never set their sign bit, so counting the bits of |eq| is exact)
     walks = np.flatnonzero(np.bitwise_count(eq) == k // 2)

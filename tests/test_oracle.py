@@ -329,9 +329,9 @@ def test_mask_width_guard_rejects_k12():
 @pytest.mark.parametrize("n,k", [(1, 4), (6, 4), (7, 4), (1, 6), (4, 6), (5, 6), (2, 8), (3, 8)])
 def test_rotation_maps_tallies_to_rotated_partitions(n, k):
     # the census scans only the walks from p_1 = 0 and credits each walk w to
-    # roll(w, j) for j = 0..t(w): every such rotation starts its lowest run at
-    # index j, and its |step|, reversal and cell-sharing pairs are w's pairs
-    # moved by the rotation tables the census credits them through
+    # roll(w, j) for j = 0..t(w): each such rotation has its first 0 at index
+    # j, and its |step|, reversal and cell-sharing pairs are w's pairs moved
+    # by the rotation tables the census credits them through
     interior = _interior(n, k, 0, n ** (k - 1))
     pair_index = interior.pair_index
     signatures = np.array(sorted(_signature(p, pair_index) for p in enumerate_pair_partitions(k)),
