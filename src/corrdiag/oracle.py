@@ -33,18 +33,16 @@ rotated bit of each pair bit.
 
 The scanned walks are split by (p_2, ..., p_k) into slabs of at most
 `_SLAB` walks, so a census holds one slab per worker and its memory stays
-bounded whatever n is.  Each walk carries two bitmasks with one bit per
-pair of steps: |d_i| = |d_j| and d_i = -d_j.  `_interior` builds the
-positions p_2..p_k, the steps d_2..d_{k-1} and the bits of every pair
-among those steps, and `_walk_masks` adds the 2k-3 pairs involving d_1 or
-d_k for a given p_1.  A partition's signature sets one bit per block, k/2
-in all, and a walk's |step| mask equals at most one signature.  So one bit
+bounded whatever n is.  `_slab` builds a slab's sites, row 0 all zeros,
+and two bitmasks per walk with one bit per pair of steps: |d_i| = |d_j|
+and d_i = -d_j.  A partition's signature sets one bit per block, k/2 in
+all, and a walk's |step| mask equals at most one signature.  So one bit
 count keeps the walks whose mask has k/2 bits, one sorted lookup assigns
 each of those to its partition or to none, and `np.bincount` tallies every
 partition in that one pass.  Shared cells are worked out afterwards, for
 the opposed walks only.  The search for a walk below the cell bound scans
-every p_1 in order, and within it every slab in order, because it returns
-the first such walk.
+the same slabs in order, reading each partition's walks off the rotations
+that carry scanned walks to it, and returns the first walk it finds.
 """
 
 from __future__ import annotations
@@ -101,11 +99,11 @@ def _census_bytes(n: int, k: int) -> int:
 
     Each worker holds one slab of W = min(n^(k-1), _SLAB) walks from p_1 = 0
     at a time.  With b = 4 or 8 bytes per bitmask, a slab being tallied
-    holds W(4k - 3 + 4b) bytes: the interior's int16 positions (k-1)W and
-    steps (k-2)W and its two bitmasks, the walks' own two bitmasks, an int8
-    trailing run and an int16 weight.  (Building the interior takes at most
-    W(12 + b) more, less than any stage below.)  On top of that comes the
-    largest of three stages:
+    holds W(2k + 3 + 2b) bytes: its k x W int16 sites, its two bitmasks, an
+    int8 trailing run and an int16 weight.  (Building the slab takes at
+    most W(2k + 5 + b) more, for its transient k x W int16 steps and the
+    bytes the bits are gathered in, less than the lookup stage below.)  On
+    top of that comes the largest of three stages:
 
     - `np.unique` of the reversal masks: W(25 + 2b) for a flattened and a
       sorted copy of the masks, the int64 sort order, one bool per walk and
@@ -131,7 +129,7 @@ def _census_bytes(n: int, k: int) -> int:
     stage = max(width * (25 + 2 * b) + b * masks,
                 16 * width + masks * (16 * k + 2 * b + 10),
                 width * (2 * b + 56))
-    return width * (4 * k - 3 + 4 * b) + stage + 32 * k * (parts * (2 * pairs + 4) + 1)
+    return width * (2 * k + 3 + 2 * b) + stage + 32 * k * (parts * (2 * pairs + 4) + 1)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -147,12 +145,6 @@ def _check_cost(n: int, k: int) -> None:
     if pairs > MASK_BITS:
         raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
     check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=len(_slabs(n, k)))
-
-
-def _signature(p: PairPartition, pair_index) -> int:
-    """Bitmask of p's blocks: bit b is set when pair_index[b] is a block (0-based)."""
-    blocks = {(a - 1, b - 1) for a, b in p.blocks}
-    return sum(1 << bit for bit, ij in enumerate(pair_index) if ij in blocks)
 
 
 def _add_pairs(masks, pairs, steps) -> None:
@@ -172,20 +164,21 @@ def _add_pairs(masks, pairs, steps) -> None:
             masks[row] |= np.left_shift(bits[row], 8 * byte, dtype=masks.dtype)
 
 
-@dataclass(frozen=True)
-class _Interior:
-    """The p_1-independent part of a slab of closed walks of length k on n sites."""
-
-    k: int
-    pair_index: list[tuple[int, int]]
-    rows: np.ndarray  # (k-1, W) int16: p_2..p_k (0-based sites), one column per walk
-    steps: np.ndarray  # (k-2, W) int16: d_2..d_{k-1}
-    masks: np.ndarray  # (2, W) bits of the pairs among those steps
-
-
 def _pair_index(k: int) -> list[tuple[int, int]]:
     """Step pairs (i, j), i < j (0-based), in bit order."""
     return list(itertools.combinations(range(k), 2))
+
+
+def _signatures(k: int):
+    """The canonical forms of k's pair partitions in order of their
+    signatures, and those signatures, sorted for the census's lookup.  A
+    partition's signature sets bit b when pair b of `_pair_index` is one of
+    its blocks (0-based)."""
+    bit = {(i + 1, j + 1): b for b, (i, j) in enumerate(_pair_index(k))}
+    signature = {p.canonical(): sum(1 << bit[ab] for ab in p.blocks)
+                 for p in enumerate_pair_partitions(k)}
+    ordered = sorted(signature, key=signature.get)
+    return ordered, np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
 
 
 def _slabs(n: int, k: int) -> list[tuple[int, int]]:
@@ -194,46 +187,33 @@ def _slabs(n: int, k: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _SLAB, width)) for lo in range(0, width, _SLAB)]
 
 
-def _interior(n: int, k: int, lo: int, hi: int) -> _Interior:
-    """The p_1-independent part of walks lo..hi-1 of the flattened
-    (p_2, ..., p_k) grid, in the C order of ``np.indices((n,) * (k - 1))``:
-    p_2 varies slowest, p_k fastest.  The census and the search for a
-    low-cell walk build it one slab at a time."""
-    pair_index = _pair_index(k)
+def _slab(n: int, k: int, lo: int, hi: int):
+    """Walks lo..hi-1 from p_1 = 0 of the flattened (p_2, ..., p_k) grid, in
+    the C order of ``np.indices((n,) * (k - 1))``: p_2 varies slowest, p_k
+    fastest.  Returns their sites, a (k, W) int16 array with one column per
+    walk and row 0 all zeros, and their bitmasks |d_i| = |d_j| and
+    d_i = -d_j, one row each."""
     flat = np.arange(lo, hi, dtype=np.int32)  # n^(k-1) < 2^31 under COST_GUARD
-    rows = np.empty((k - 1, hi - lo), dtype=np.int16)
-    for axis in range(k - 1):
-        rows[axis] = flat // n ** (k - 2 - axis) % n
-    steps = rows[1:] - rows[:-1]
-    masks = np.zeros((2, rows.shape[1]), dtype=_mask_dtype(k))
-    inner = [(bit, i, j) for bit, (i, j) in enumerate(pair_index) if i > 0 and j < k - 1]
-    _add_pairs(masks, inner, [None, *steps, None])
-    return _Interior(k, pair_index, rows, steps, masks)
+    rows = np.zeros((k, hi - lo), dtype=np.int16)
+    for axis in range(1, k):
+        rows[axis] = flat // n ** (k - 1 - axis) % n
+    del flat
+    steps = np.roll(rows, -1, axis=0) - rows  # closed: p_{k+1} = p_1
+    masks = np.zeros((2, hi - lo), dtype=_mask_dtype(k))
+    _add_pairs(masks, [(bit, i, j) for bit, (i, j) in enumerate(_pair_index(k))], steps)
+    return rows, masks
 
 
-def _walk_masks(interior: _Interior, p1: int) -> np.ndarray:
-    """Bitmasks |d_i| = |d_j| and d_i = -d_j (one row each) of the closed
-    walks starting at p_1 = p1 (0-based), one column per column of
-    ``interior.rows``."""
-    k, rows = interior.k, interior.rows
-    start = np.int16(p1)
-    steps = [rows[0] - start, *interior.steps, start - rows[-1]]  # closed: p_{k+1} = p_1
-    masks = interior.masks.copy()
-    edge = [(bit, i, j) for bit, (i, j) in enumerate(interior.pair_index) if i == 0 or j == k - 1]
-    _add_pairs(masks, edge, steps)
-    return masks
-
-
-def _shared_cells(interior: _Interior, p1: int, walks: np.ndarray):
-    """Shared-cell bitmask and count of the walks from p_1 = p1 at columns
-    ``walks`` of ``interior.rows``.  Steps i < j share a cell when p_i = p_j
-    with d_i = d_j, or p_i = p_{j+1} with d_i = -d_j."""
-    start = np.int16(p1)
-    positions = [start, *interior.rows[:, walks], start]
+def _shared_cells(rows: np.ndarray):
+    """Shared-cell bitmask and count of the walks whose sites are the
+    columns of ``rows``.  Steps i < j share a cell when p_i = p_j with
+    d_i = d_j, or p_i = p_{j+1} with d_i = -d_j."""
+    k = len(rows)
+    positions = [*rows, rows[0]]
     steps = [b - a for a, b in zip(positions, positions[1:])]
-    cell = np.zeros(len(walks), dtype=interior.masks.dtype)
-    cell_count = np.zeros(len(walks), dtype=np.int8)
-    for bit, (i, j) in enumerate(interior.pair_index):
+    cell = np.zeros(rows.shape[1], dtype=_mask_dtype(k))
+    cell_count = np.zeros(rows.shape[1], dtype=np.int8)
+    for bit, (i, j) in enumerate(_pair_index(k)):
         tied = (((positions[i] == positions[j]) & (steps[i] == steps[j]))
                 | ((positions[i] == positions[j + 1]) & (steps[i] == -steps[j])))
         cell |= tied * cell.dtype.type(1 << bit)
@@ -241,20 +221,20 @@ def _shared_cells(interior: _Interior, p1: int, walks: np.ndarray):
     return cell, cell_count
 
 
-def _trailing_and_span(interior: _Interior):
+def _trailing_and_span(rows: np.ndarray):
     """t(w), the length of the trailing run of non-zero sites (int8), and
-    the span max w (int16) of each walk of the slab that starts at p_1 = 0,
-    whose lowest site is therefore 0."""
-    trailing = np.zeros(interior.rows.shape[1], dtype=np.int8)
-    alive = np.ones(interior.rows.shape[1], dtype=bool)
-    for row in interior.rows[::-1]:
+    the span max w (int16) of each walk of a slab, whose lowest site is
+    its p_1 = 0."""
+    trailing = np.zeros(rows.shape[1], dtype=np.int8)
+    alive = np.ones(rows.shape[1], dtype=bool)
+    for row in rows[:0:-1]:
         alive &= row != 0
         trailing += alive
-    return trailing, interior.rows.max(axis=0)
+    return trailing, rows.max(axis=0)
 
 
-def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
-    """Counts of the slab's walks from p_1 = 0, each weighted by its n - s
+def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
+    """Counts of the walks of slab [lo, hi), each weighted by its n - s
     translates (s its span) and keyed by t, its trailing run: matched,
     opposed and solutions (P, k) with row r for the partition whose
     signature is ``signatures[r]`` (sorted), the shared-cell histogram
@@ -265,12 +245,11 @@ def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
     ``np.bincount`` sums its weights in float64.  Every sum counts at most
     n^k <= COST_GUARD < 2^53 walks, so each is an exact integer and is cast
     back to int64 without loss."""
-    k = interior.k
-    eq, neg = _walk_masks(interior, 0)
-    trailing, span = _trailing_and_span(interior)
+    rows, (eq, neg) = _slab(n, k, lo, hi)
+    trailing, span = _trailing_and_span(rows)
     weight = n - span  # int16: n^2 <= COST_GUARD keeps n below 2^15
     del span
-    parts, pairs = len(signatures), len(interior.pair_index)
+    parts, pairs = len(signatures), k * (k - 1) // 2
 
     # solutions: a (distinct reversal mask, t) table of weighted walks, then
     # for each signature the sum of the rows whose mask contains it.  Bits
@@ -303,7 +282,7 @@ def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
 
     hit = (neg & eq) == eq
     walks, key, eq = walks[hit], key[hit], eq[hit]
-    cell, cell_count = _shared_cells(interior, 0, walks)
+    cell, cell_count = _shared_cells(rows[:, walks])
     weight = weight[walks]
     opposed = np.bincount(key, weights=weight, minlength=parts * k)
     cells = np.bincount(key * (pairs + 1) + cell_count, weights=weight,
@@ -320,10 +299,11 @@ def _slab_tallies(interior: _Interior, n: int, signatures: np.ndarray):
             cells.reshape(parts, k, pairs + 1), block_ties.reshape(parts, k, pairs), every)
 
 
-def _rotations(k: int, signatures: np.ndarray, pair_index):
+def _rotations(k: int, signatures: np.ndarray):
     """Where rotation j, w -> roll(w, j), sends each partition slot and each
     pair bit: (k, P) slots and (k, pairs) bits.  Step d_a of w is step
     d_{a+j} (mod k) of roll(w, j), so pair (a, b) becomes (a+j, b+j)."""
+    pair_index = _pair_index(k)
     bit = {ij: b for b, ij in enumerate(pair_index)}
     bit_of = np.array([[bit[tuple(sorted(((a + j) % k, (b + j) % k)))] for a, b in pair_index]
                        for j in range(k)])
@@ -348,17 +328,14 @@ def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, bit_of=None) -> n
 def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
-    partitions = enumerate_pair_partitions(k)
     pair_index = _pair_index(k)
-    signature = {p.canonical(): _signature(p, pair_index) for p in partitions}
-    ordered = sorted(signature, key=signature.get)
-    signatures = np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
+    ordered, signatures = _signatures(k)
 
     def tally(group):
         """Counts of the walks from p_1 = 0 in ``group``'s slabs, one slab held at a time."""
-        total = _slab_tallies(_interior(n, k, *group[0]), n, signatures)
+        total = _slab_tallies(n, k, *group[0], signatures)
         for bounds in group[1:]:
-            for held, counts in zip(total, _slab_tallies(_interior(n, k, *bounds), n, signatures)):
+            for held, counts in zip(total, _slab_tallies(n, k, *bounds, signatures)):
                 held += counts
         return total
 
@@ -370,13 +347,13 @@ def walk_census(n: int, k: int) -> WalkCensus:
         sum(column).astype(np.int64) for column in zip(*parallel_map(tally, groups)))
     # a walk with trailing run t stands for its 1 + t rotations
     nonpair = int(np.arange(1, k + 1) @ (every - matched.sum(axis=0)))
-    slot_of, bit_of = _rotations(k, signatures, pair_index)
+    slot_of, bit_of = _rotations(k, signatures)
     matched, opposed, solutions, cells = (
         _credit_rotations(c, slot_of) for c in (matched, opposed, solutions, cells))
     ties = _credit_rotations(ties, slot_of, bit_of)
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
-    for p in partitions:
+    for p in enumerate_pair_partitions(k):
         r = row[p.canonical()]
         tallies[p.canonical()] = PartitionTally(
             matched=int(matched[r]),
@@ -420,16 +397,28 @@ def check_cell_bound(n: int, k: int) -> dict:
 
 def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
     """First opposed walk of ``p`` with fewer than ``floor`` shared cells, as
-    1-based positions (p_1, ..., p_k), or None when there is none."""
-    sig = _signature(p, _pair_index(k))
-    for p1 in range(n):
-        for bounds in _slabs(n, k):
-            interior = _interior(n, k, *bounds)
-            eq, neg = _walk_masks(interior, p1)
-            walks = np.flatnonzero((eq == sig) & ((neg & sig) == sig))
-            low = walks[_shared_cells(interior, p1, walks)[1] < floor]
+    1-based positions (p_1, ..., p_k), or None when there is none.
+
+    Every walk of p is a translate of roll(w, j) for a scanned walk w with
+    t(w) >= j of the partition that rotation j sends to p, and it shares
+    w's cell count.  The walks are tried in order of (slab column, j), an
+    order that does not depend on the slab width."""
+    ordered, signatures = _signatures(k)
+    slot_of = _rotations(k, signatures)[0]
+    # rotation j sends the partition in slot sources[j] to p
+    sources = np.argmax(slot_of == ordered.index(p.canonical()), axis=1)
+    for bounds in _slabs(n, k):
+        rows, (eq, neg) = _slab(n, k, *bounds)
+        trailing = _trailing_and_span(rows)[0]
+        hits = []
+        for j, sig in enumerate(signatures[sources]):
+            walks = np.flatnonzero((trailing >= j) & (eq == sig) & ((neg & sig) == sig))
+            low = walks[_shared_cells(rows[:, walks])[1] < floor]
             if low.size:
-                return (p1 + 1, *(int(x) + 1 for x in interior.rows[:, low[0]]))
+                hits.append((int(low[0]), j))
+        if hits:
+            column, j = min(hits)
+            return tuple(int(x) + 1 for x in np.roll(rows[:, column], j))
     return None
 
 
@@ -442,11 +431,19 @@ def _decay_flags(ratios: list[float]) -> dict:
             "pass": zero or decreasing}
 
 
+def _check_grid(n_grid: tuple[int, ...]) -> None:
+    """The decay checks read their ratios along growing n: reject a grid
+    of fewer than two sizes or one that is not strictly increasing."""
+    if len(n_grid) < 2:
+        raise ValueError("need at least two sizes")
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"sizes must be strictly increasing, got {tuple(n_grid)}")
+
+
 def check_sn_minus_snstar_decay(n_grid: tuple[int, ...], k: int) -> dict:
     """Matched-but-not-opposed walks, normalized by n^(k/2+1), along a size grid;
     each partition is judged by `_decay_flags`."""
-    if len(n_grid) < 2:
-        raise ValueError("need at least two sizes")
+    _check_grid(n_grid)
     censuses = {n: walk_census(n, k) for n in n_grid}
     report = {"n_grid": tuple(n_grid), "k": k, "partitions": {}}
     for p in enumerate_pair_partitions(k):
@@ -467,8 +464,7 @@ def check_excess_crossing_decay(
     the partition.  Ratios identically zero mean the tie is impossible at
     every size, which satisfies the bound exactly.
     """
-    if len(n_grid) < 2:
-        raise ValueError("need at least two sizes")
+    _check_grid(n_grid)
     if block not in p.blocks:
         raise ValueError(f"{block} is not a block of {p.canonical()}")
     if not any(blocks_cross(block, other) for other in p.blocks):

@@ -383,6 +383,14 @@ def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys):
     assert "FAIL criterion 7" in out
 
 
+def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--criteria", "7",
+                             "--tolerances", '{"decay_grid_k4": [40, 20, 10]}',
+                             "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "strictly increasing" in err
+
+
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--criteria", "1",
                            "--tolerances", '{"no_such_key": 1}', "--out", str(tmp_path))

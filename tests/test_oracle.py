@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 from corrdiag import oracle
+from corrdiag.cli import main
 from corrdiag.oracle import (
     _census_bytes,
     _check_cost,
     _find_low_cell_walk,
-    _interior,
     _pair_index,
     _rotations,
-    _signature,
+    _signatures,
+    _slab,
     _slabs,
     _trailing_and_span,
-    _walk_masks,
     census_report,
     check_excess_crossing_decay,
     check_cell_bound,
@@ -163,19 +163,60 @@ def _walk_profile(walk, k):
     return equal, reversed_, len(tied)
 
 
+def _search_key(walk, n):
+    """(column, j) of a walk with lowest site 0: it is roll(w, j) for the
+    scanned walk w that starts at its first 0, at column (w_2 ... w_k) base n."""
+    j = walk.index(0)
+    w = walk[j:] + walk[:j]
+    return sum(x * n ** (len(w) - 1 - i) for i, x in enumerate(w[1:], 1)), j
+
+
 def test_find_low_cell_walk_returns_checked_walk():
-    for k, n in ((4, 6), (6, 5)):
+    # the search scans the walks from p_1 = 0 and finds p's walks among the
+    # rotations roll(w, j), j <= t(w), of the partition rotation j sends to
+    # p; it returns the opposed walk of p below the floor with the least
+    # (slab column, j), translated to lowest site 1.  Brute force over all
+    # n^k walks: it finds a walk exactly when one exists, and the first.
+    for n, k in ((6, 4), (5, 6), (3, 4), (4, 6), (3, 8)):
+        profiles = {walk: _walk_profile(walk, k) for walk in itertools.product(range(n), repeat=k)}
         for p in enumerate_pair_partitions(k):
-            floor = height(p) + 1
-            walk = _find_low_cell_walk(n, k, p, floor)
-            assert walk is not None and len(walk) == k
-            assert all(1 <= x <= n for x in walk)
             blocks = {(a - 1, b - 1) for a, b in p.blocks}
+            opposed = {walk: shared for walk, (equal, reversed_, shared) in profiles.items()
+                       if equal == blocks and blocks <= reversed_}
+            for floor in sorted({0, height(p), height(p) + 1, min(opposed.values(), default=0) + 1}):
+                walk = _find_low_cell_walk(n, k, p, floor)
+                low = [w for w, shared in opposed.items() if shared < floor and min(w) == 0]
+                if not low:
+                    assert walk is None
+                    continue
+                first = min(low, key=lambda w: _search_key(w, n))
+                assert walk == tuple(x + 1 for x in first)
+                equal, reversed_, shared = _walk_profile(walk, k)
+                assert equal == blocks  # matched: the |step| pattern is exactly p
+                assert blocks <= reversed_  # opposed
+                assert shared < floor
+
+
+def test_cell_bound_violation_reports_checked_examples(monkeypatch, capsys):
+    # one more than every height: the opposed walks that meet the bound with
+    # equality now break it, so the report, its examples and the CLI's exit
+    # code all take the violation path
+    monkeypatch.setattr(oracle, "height", lambda p: height(p) + 1)
+    for n, k in ((5, 4), (5, 6)):
+        report = check_cell_bound(n, k)
+        assert report["ok"] is False and report["violations"]
+        for violation in report["violations"]:
+            p = PairPartition.from_string(violation["partition"])
+            blocks = {(a - 1, b - 1) for a, b in p.blocks}
+            walk = violation["example"]
+            assert walk is not None and all(1 <= x <= n for x in walk)
             equal, reversed_, shared = _walk_profile(walk, k)
-            assert equal == blocks  # matched: the |step| pattern is exactly p
-            assert blocks <= reversed_  # opposed
-            assert shared < floor
-            assert _find_low_cell_walk(n, k, p, 0) is None
+            assert equal == blocks and blocks <= reversed_
+            assert violation["height"] == height(p) + 1
+            assert shared < violation["height"]
+            assert shared in violation["offending_cell_counts"]
+    assert main(["oracle", "--n", "5", "--k", "6", "--check-heights"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 def test_shared_cell_histogram_obeys_bound():
@@ -233,6 +274,19 @@ def test_excess_crossing_decay_check():
     assert ratios[-1] < 0.5 * ratios[0]
     expected = [(n - 1) / n**2 for n in (10, 20, 40)]
     assert ratios == pytest.approx(expected, rel=1e-12)
+
+
+def test_decay_checks_reject_a_grid_that_is_not_increasing():
+    # the ratios are read along growing n: a reversed grid would let a ratio
+    # that grows with n pass as decreasing
+    p = PairPartition.from_string("1-3,2-4")
+    for grid in ((16, 14), (14, 14), (14,)):
+        with pytest.raises(ValueError):
+            check_sn_minus_snstar_decay(grid, 6)
+    for grid in ((40, 20, 10), (10, 20, 20), (10,)):
+        with pytest.raises(ValueError):
+            check_excess_crossing_decay(grid, 4, p, (1, 3))
+    assert check_sn_minus_snstar_decay((14, 16), 6)["ok"]
 
 
 def test_excess_crossing_decay_rejects_bad_block():
@@ -332,14 +386,13 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
     # roll(w, j) for j = 0..t(w): each such rotation has its first 0 at index
     # j, and its |step|, reversal and cell-sharing pairs are w's pairs moved
     # by the rotation tables the census credits them through
-    interior = _interior(n, k, 0, n ** (k - 1))
-    pair_index = interior.pair_index
-    signatures = np.array(sorted(_signature(p, pair_index) for p in enumerate_pair_partitions(k)),
-                          dtype=interior.masks.dtype)
-    slot_of, bit_of = _rotations(k, signatures, pair_index)
-    trailing, span = _trailing_and_span(interior)
-    for column in range(interior.rows.shape[1]):
-        walk = (0, *interior.rows[:, column].tolist())
+    rows = _slab(n, k, 0, n ** (k - 1))[0]
+    pair_index = _pair_index(k)
+    signatures = _signatures(k)[1]
+    slot_of, bit_of = _rotations(k, signatures)
+    trailing, span = _trailing_and_span(rows)
+    for column in range(rows.shape[1]):
+        walk = tuple(rows[:, column].tolist())
         t = int(trailing[column])
         assert span[column] == max(walk)
         assert t == next(i for i, x in enumerate(reversed(walk)) if x == 0)
@@ -362,7 +415,7 @@ def test_rotations_and_translates_cover_every_walk(n, k):
     # n - max(w) translates: together they are every walk on n sites once
     covered = 0
     for bounds in _slabs(n, k):
-        trailing, span = _trailing_and_span(_interior(n, k, *bounds))
+        trailing, span = _trailing_and_span(_slab(n, k, *bounds)[0])
         covered += int(((1 + trailing.astype(np.int64)) * (n - span)).sum())
     assert covered == n**k
 
@@ -371,18 +424,17 @@ def test_every_signature_has_one_bit_per_block():
     # the census looks up only the walks with k/2 |step| bits, so no
     # partition may have a signature with any other bit count
     for k in range(2, 12, 2):
-        pair_index = _pair_index(k)
-        counts = {_signature(p, pair_index).bit_count() for p in enumerate_pair_partitions(k)}
-        assert counts == {k // 2}
+        ordered, signatures = _signatures(k)
+        assert sorted(ordered) == sorted(p.canonical() for p in enumerate_pair_partitions(k))
+        assert {int(s).bit_count() for s in signatures} == {k // 2}
 
 
 def test_lookup_rejects_walks_with_k_half_bits_that_match_no_partition():
     # three equal |steps| set three bits at k=6 and are no pair partition, so
     # the exact compare after the bit-count filter has walks to reject here
     # (test_census_matches_brute_force checks the counts at this shape)
-    interior = _interior(4, 6, 0, 4**5)
-    signatures = {_signature(p, interior.pair_index) for p in enumerate_pair_partitions(6)}
-    eq = _walk_masks(interior, 0)[0]
+    signatures = set(_signatures(6)[1].tolist())
+    eq = _slab(4, 6, 0, 4**5)[1][0]
     candidates = set(eq[np.bitwise_count(eq) == 3].tolist())
     assert candidates & signatures
     assert candidates - signatures
