@@ -3,31 +3,29 @@
 m_k(c) sums, over pair partitions of {1..k}, the partition's volume times
 c^(k/2 - height).  At c = 0 only the non-crossing terms survive and the
 moments are Catalan numbers (the semicircle law); at c = 1 every crossing
-contributes its full volume.  The fourth moment has the closed form
-2 + (2/3) c^2.
+contributes its full volume.  Up to k = 10 the volumes are exact, so each
+moment is a polynomial in c with rational coefficients; the fourth moment
+is 2 + (2/3) c^2.
 """
 
 from corrdiag import limiting_moment
-from corrdiag.moments import catalan
-from corrdiag.volumes import VolumeCache
+from corrdiag.moments import EXACT_MAX_K, catalan, exact_moment_polynomial
 
-cache = VolumeCache()  # volumes are computed once and shared across the grid
+print(f"exact moment polynomials (k <= {EXACT_MAX_K}):")
+for k in range(4, EXACT_MAX_K + 1, 2):
+    terms = [(f"{a}" if a.denominator == 1 else f"({a})") + (f" c^{j}" if j else "")
+             for j, a in enumerate(exact_moment_polynomial(k)) if a]
+    print(f"  m_{k}(c) = " + " + ".join(terms))
 
-print("       c:   0.00    0.25    0.50    0.75    1.00   (closed form at k=4)")
-for k in (2, 4, 6, 8):
-    row = [limiting_moment(k, c, cache, samples=400_000, seed=11).value
-           for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    extra = ""
-    if k == 4:
-        extra = "   2 + (2/3)c^2 -> " + ", ".join(
-            f"{2 + (2/3) * c * c:.4f}" for c in (0.0, 0.25, 0.5, 0.75, 1.0))
-    print(f"  m_{k}:  " + "  ".join(f"{v:6.4f}" for v in row) + extra)
+print("\n       c:   0.00      0.25      0.50      0.75      1.00   (standard error 0)")
+for k in range(2, EXACT_MAX_K + 1, 2):
+    row = [limiting_moment(k, c).value for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    print(f"  m_{k:<2}:  " + "  ".join(f"{v:8.4f}" for v in row))
 
 print("\nat c = 0 the even moments are exactly the Catalan numbers:")
 print("  " + ", ".join(
-    f"m_{k}={limiting_moment(k, 0.0, cache, samples=10, seed=0).value:.0f}"
+    f"m_{k}={limiting_moment(k, 0.0, samples=10, seed=0).value:.0f}"
     f" (C_{k//2}={catalan(k//2)})" for k in (2, 4, 6, 8, 10, 12)))
 
 print("\nodd moments vanish identically:",
-      all(limiting_moment(k, 0.7, cache, samples=10, seed=0).value == 0.0
-          for k in (1, 3, 5, 7)))
+      all(limiting_moment(k, 0.7).value == 0.0 for k in (1, 3, 5, 7)))

@@ -51,6 +51,7 @@ from .spectra import (
 from .volumes import (
     VolumeCache,
     VolumeEstimate,
+    exact_volume,
     solve_partition_system,
     toeplitz_volume,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "is_crossing",
     "height",
     "toeplitz_volume",
+    "exact_volume",
     "solve_partition_system",
     "VolumeCache",
     "VolumeEstimate",

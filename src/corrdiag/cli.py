@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", dest="c_values", type=float, nargs="+", default=[0.0, 0.5, 1.0],
                    help="correlation values in [0, 1]")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo samples per crossing partition (>= 1)")
+                   help="Monte Carlo samples per crossing partition (>= 1); orders up "
+                        "to 10 are exact and do not use it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="CSV destination (default: stdout)")

@@ -5,6 +5,12 @@ each partition contributes its cube-section volume times c raised to
 (k/2 - height).  Non-crossing partitions have volume 1 and height k/2, so
 they contribute exactly 1 each and the c = 0 moments collapse to Catalan
 numbers (the semicircle moments).  Odd moments vanish.
+
+Up to order EXACT_MAX_K the volumes are exact (`volumes.exact_volume`), so
+m_k(c) is a polynomial in c with rational coefficients, built once per k.
+Above it the crossing volumes are Monte Carlo estimates.  Counting k = 12
+exactly holds about 10^6 grid points per count; it waits for a counter that
+works in chunks.
 """
 
 from __future__ import annotations
@@ -12,12 +18,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 from .partitions import enumerate_pair_partitions, height, is_crossing
 from .sampler import Equicorrelated, GeneratorSpec, Independent, child_seed
-from .volumes import VolumeCache
+from .volumes import VolumeCache, exact_volume
 
 DEFAULT_SAMPLES = 200_000
+EXACT_MAX_K = 10  # largest order whose moments are exact
 
 
 def catalan(m: int) -> int:
@@ -50,6 +59,16 @@ class MomentValue:
     std_error: float
 
 
+@lru_cache(maxsize=None)
+def exact_moment_polynomial(k: int) -> tuple[Fraction, ...]:
+    """Coefficients of m_k(c), constant first, for even k: partition p adds
+    its exact volume to the coefficient of c^(k/2 - height(p))."""
+    coefficients = [Fraction(0)] * (k // 2 + 1)
+    for p in enumerate_pair_partitions(k):
+        coefficients[k // 2 - height(p)] += exact_volume(p)
+    return tuple(coefficients)
+
+
 def limiting_moment(
     k: int,
     c: float,
@@ -59,15 +78,20 @@ def limiting_moment(
 ) -> MomentValue:
     """Moment of order k of the limiting distribution with correlation c.
 
-    Non-crossing partitions contribute exactly 1 each.  Only crossing
-    partitions carry Monte Carlo error; their volume estimates come from
-    ``cache`` when present (matching samples and seed), and are computed and
-    stored otherwise.  ``samples`` must be >= 1 at every k.
+    Up to order EXACT_MAX_K the value is `exact_moment_polynomial` at
+    Fraction(c), rounded to float once, with standard error 0; ``cache``,
+    ``samples`` and ``seed`` are not used.  Above it non-crossing partitions
+    contribute exactly 1 each and only crossing partitions carry Monte Carlo
+    error; their volume estimates come from ``cache`` when present (matching
+    samples and seed), and are computed and stored otherwise.  ``samples``
+    must be >= 1 at every k.
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not math.isfinite(c):
+        raise ValueError(f"correlation must be finite, got {c}")
     if k % 2:
         return MomentValue(k, float(c), 0.0, 0.0)
     if not 0.0 <= c <= 1.0:
@@ -75,6 +99,11 @@ def limiting_moment(
             f"c={c} is outside [0, 1]; no bundled matrix generator attains it",
             stacklevel=2,
         )
+
+    if k <= EXACT_MAX_K:
+        exact = Fraction(c)
+        value = sum(a * exact**j for j, a in enumerate(exact_moment_polynomial(k)))
+        return MomentValue(k, float(c), float(value), 0.0)
 
     if cache is None:
         cache = VolumeCache()

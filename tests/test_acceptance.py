@@ -10,6 +10,8 @@ calibration notes of `corrdiag.acceptance`.
 import pytest
 
 from corrdiag import acceptance
+from corrdiag.partitions import enumerate_pair_partitions, is_crossing
+from corrdiag.volumes import lattice_polynomial
 
 SEED = acceptance.DEFAULT_SEED
 
@@ -64,6 +66,31 @@ def test_criterion_6_curie_weiss_transition(out_dir):
 def test_criterion_7_exhaustive_counting(out_dir):
     result = _run(7, out_dir)
     assert result.passed, "\n".join(result.details)
+
+
+def _finite_n_law_fails(k):
+    """Crossing partitions at order k whose solution count L(n - 1) is not
+    volume n^h + (1 - volume) n^(h-2), h = k/2 + 1, as polynomials in n.
+    Both sides have degree h, so agreement at the h + 1 sizes n = 1..h+1
+    is agreement as polynomials."""
+    h = k // 2 + 1
+    failed = []
+    for p in enumerate_pair_partitions(k):
+        if not is_crossing(p):
+            continue
+        lattice = lattice_polynomial(p)
+        volume = lattice[-1]
+        if any(sum(c * (n - 1) ** i for i, c in enumerate(lattice))
+               != volume * n**h + (1 - volume) * n ** (h - 2) for n in range(1, h + 2)):
+            failed.append(p.canonical())
+    return failed
+
+
+def test_criterion_7_finite_n_law_is_exact_at_k_up_to_6():
+    # the calibration note of criterion 7: exact at k = 4 and 6, not at k = 8
+    assert _finite_n_law_fails(4) == [] and _finite_n_law_fails(6) == []
+    at_k8 = _finite_n_law_fails(8)
+    assert len(at_k8) == 31 and "1-3,2-4,5-7,6-8" in at_k8
 
 
 def test_criterion_8_trace_concentration(out_dir):

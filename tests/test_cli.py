@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import corrdiag
+from corrdiag import acceptance, moments
 from corrdiag.cli import main
 
 
@@ -25,8 +26,8 @@ def run_cli(capsys, *argv):
 PINNED_OUTPUTS = {
     ("moments", "--k", "6", "--c", "0", "0.5", "1", "--samples", "4000", "--seed", "1",
      "--cache", "volumes.txt", "--out", "moments.csv"): {
-        "volumes.txt": "625809c1e48b62010d8e0dc492ef1b12ab088c263768029a00e254e0e630808d",
-        "moments.csv": "8ca09db6818746d32155f784e8770d52ca0c3cb14f8e5d1eca84ed0d5c515bf6",
+        "volumes.txt": "3d7583c725a8030fd77d08c33ed60a45663347ad0cab53ec192837d5e15c4336",
+        "moments.csv": "c16076984325261b08a17ee14059478a4ff67562fddce40a4de2c8d7760775ec",
         "stdout": "e2eccc155adb86c32e33714118aa510c0539f05e155b02ec1d054960d58eaf72",
     },
     ("volume", "1-3,2-4", "--samples", "5000", "--seed", "2"): {
@@ -134,8 +135,9 @@ def test_moments_table_format(capsys):
     assert table[("3", "0")][2] == "0"
 
 
-# data rows of `moments --k 6 --c 0.5 1 --samples 4000` at each seed; seed 0
-# passes through unchanged, any other seed is first mapped to child_seed(seed, k, 0)
+# data rows of `moments --k 6 --c 0.5 1 --samples 4000` at each seed on the Monte
+# Carlo branch (EXACT_MAX_K lowered to 0); seed 0 passes through unchanged, any
+# other seed is first mapped to child_seed(seed, k, 0)
 MOMENT_ROWS = {
     1: ["4,0.5,2.1654375,0.00187015", "4,1,2.66175,0.00748059",
         "6,0.5,6.25765625,0.00495769", "6,1,11.03125,0.0240984"],
@@ -145,7 +147,8 @@ MOMENT_ROWS = {
 
 
 @pytest.mark.parametrize("seed", sorted(MOMENT_ROWS))
-def test_moments_rows_pinned(capsys, seed):
+def test_moments_rows_pinned(capsys, monkeypatch, seed):
+    monkeypatch.setattr(moments, "EXACT_MAX_K", 0)
     code, out, _ = run_cli(capsys, "moments", "--k", "6", "--c", "0.5", "1",
                            "--samples", "4000", "--seed", str(seed))
     assert code == 0
@@ -155,6 +158,19 @@ def test_moments_rows_pinned(capsys, seed):
     rows = [f"{k},{c},{exact[k]}" if k in exact else next(sampled)
             for k in range(1, 7) for c in ("0.5", "1")]
     assert lines == ["k,c,value,std_error,form"] + [f"{row},all_partitions" for row in rows]
+
+
+def test_exact_moment_rows(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--k", "10", "--c", "0.5", "1",
+                           "--samples", "1", "--seed", "3")
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[1:] == [f"{row},0,all_partitions" for row in (
+        "1,0.5,0", "1,1,0", "2,0.5,1", "2,1,1", "3,0.5,0", "3,1,0",
+        "4,0.5,2.16666666667", "4,1,2.66666666667", "5,0.5,0", "5,1,0",
+        "6,0.5,6.25", "6,1,11", "7,0.5,0", "7,1,0",
+        "8,0.5,21.4083333333", "8,1,60.5333333333", "9,0.5,0", "9,1,0",
+        "10,0.5,83.3715277778", "10,1,415")]
 
 
 def test_moments_creates_cache_directory(tmp_path, capsys):
@@ -383,12 +399,14 @@ def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys):
     assert "FAIL criterion 7" in out
 
 
-def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys):
+def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setitem(acceptance._CRITERIA, 7, lambda *args: started.append(7))
     code, out, err = run_cli(capsys, "verify", "--criteria", "7",
                              "--tolerances", '{"decay_grid_k4": [40, 20, 10]}',
                              "--out", str(tmp_path))
-    assert code == 2 and out == ""
-    assert "strictly increasing" in err
+    assert code == 2 and out == "" and started == []
+    assert "decay_grid_k4" in err and "strictly increasing" in err
 
 
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):

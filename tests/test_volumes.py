@@ -1,17 +1,27 @@
-"""Cube-section volumes: linear systems, Monte Carlo estimates, cache."""
+"""Cube-section volumes: linear systems, Monte Carlo estimates, exact lattice
+counts, cache."""
 
 import dataclasses
+import itertools
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corrdiag.volumes as vol
+from corrdiag.oracle import walk_census
 from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
 from corrdiag.volumes import (
     VolumeCache,
     VolumeEstimate,
     _chunk_hits,
+    _lattice_counts,
+    _orbit_key,
     _rows_that_can_fail,
+    exact_volume,
+    lattice_polynomial,
     solve_partition_system,
     toeplitz_volume,
 )
@@ -205,6 +215,92 @@ def test_volume_peak_within_guard_estimate(monkeypatch):
 def test_k10_hit_counts_pinned(canonical, hits):
     est = toeplitz_volume(PairPartition.from_string(canonical), 40_000, 1)
     assert est.value == hits / 40_000
+
+
+def _evaluate(coefficients, t):
+    return sum(c * t**i for i, c in enumerate(coefficients))
+
+
+def _crossing(k):
+    return [p for p in enumerate_pair_partitions(k) if is_crossing(p)]
+
+
+def test_exact_volumes_frozen():
+    assert exact_volume(PairPartition.from_string("1-3,2-4")) == Fraction(2, 3)
+    assert exact_volume(PairPartition.from_string("1-4,2-5,3-6")) == Fraction(1, 2)
+    assert exact_volume(PairPartition.from_string("1-2,3-4")) == 1
+    # the polytope of 1-3,2-4 holds (t+1)(2t^2+4t+3)/3 lattice points of tP
+    assert lattice_polynomial(PairPartition.from_string("1-3,2-4")) == (
+        1, Fraction(7, 3), 2, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (9, 6), (5, 8)])
+def test_lattice_count_at_n_minus_1_is_the_census_solution_count(n, k):
+    census = walk_census(n, k)
+    for p in _crossing(k):
+        assert _evaluate(lattice_polynomial(p), n - 1) == census.tallies[p.canonical()].solutions
+
+
+def test_lattice_counts_match_brute_force():
+    for p in _crossing(4) + _crossing(6):
+        full = np.array([coeffs for _, coeffs in solve_partition_system(p).determined])
+        rows = _rows_that_can_fail(full).astype(np.int64)
+        brute = [sum(1 for f in itertools.product(range(t + 1), repeat=full.shape[1])
+                     if ((full @ f >= 0) & (full @ f <= t)).all())
+                 for t in range(4)]
+        assert _lattice_counts(rows, 3) == brute, p.canonical()
+
+
+def test_lattice_counts_with_wider_coefficients_match_brute_force():
+    # no partition up to k = 10 has a coefficient outside {-1, 0, 1}; column 0,
+    # solved here, has coefficients 2, -3 and 2, and the last row skips it
+    rows = np.array([[2, 1, 0], [-3, 1, 1], [2, 0, -1], [0, 1, -1]])
+    brute = [sum(1 for f in itertools.product(range(t + 1), repeat=3)
+                 if ((rows @ f >= 0) & (rows @ f <= t)).all())
+             for t in range(6)]
+    assert _lattice_counts(rows, 5) == brute
+
+
+def test_lattice_polynomial_is_invariant_on_dihedral_orbits():
+    for k in (4, 6, 8):
+        for p in enumerate_pair_partitions(k):
+            assert lattice_polynomial(p) == lattice_polynomial(
+                PairPartition.from_string(_orbit_key(p))), p.canonical()
+    orbits = defaultdict(list)
+    for p in _crossing(10):
+        orbits[_orbit_key(p)].append(p)
+    assert len(orbits) == 73
+    # one orbit, 1-6,2-7,3-8,4-9,5-10, is its only member
+    for key, members in orbits.items():
+        other = next((p for p in members if p.canonical() != key), None)
+        if other is None:
+            assert members == [PairPartition.from_string("1-6,2-7,3-8,4-9,5-10")]
+            continue
+        assert lattice_polynomial(other)[-1] == exact_volume(other), other.canonical()
+
+
+def test_orbit_key_is_shared_by_rotations_and_the_reflection():
+    p = PairPartition.from_string("1-3,2-6,4-7,5-8")
+    k = p.k
+    rotated = PairPartition.from_string(",".join(f"{a % k + 1}-{b % k + 1}" for a, b in p.blocks))
+    reflected = PairPartition.from_string(",".join(f"{k + 1 - a}-{k + 1 - b}" for a, b in p.blocks))
+    assert _orbit_key(p) == _orbit_key(rotated) == _orbit_key(reflected)
+    assert _orbit_key(p) != _orbit_key(PairPartition.from_string("1-3,2-4,5-7,6-8"))
+
+
+def test_lattice_polynomial_raises_when_a_confirming_count_disagrees(monkeypatch):
+    p = PairPartition.from_string("1-3,2-5,4-6")
+    good = _lattice_counts(_rows_that_can_fail(
+        solve_partition_system(p).coefficient_matrix()).astype(np.int64), 6)
+    monkeypatch.setattr(vol, "_lattice_counts", lambda rows, top: [*good[:-1], good[-1] + 1])
+    with pytest.raises(ArithmeticError, match="t=6"):
+        lattice_polynomial(p)
+
+
+def test_monte_carlo_volumes_agree_with_exact():
+    for index, p in enumerate(_crossing(4) + _crossing(6)):
+        est = toeplitz_volume(p, 50_000, index)
+        assert abs(est.value - float(exact_volume(p))) < 4 * est.std_error, p.canonical()
 
 
 def test_cache_roundtrip(tmp_path):
