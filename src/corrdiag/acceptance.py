@@ -32,11 +32,10 @@ Calibration notes baked into the defaults:
   (tests/test_acceptance.py).  At k = 8 the identity fails for 31 of the
   91 crossing partitions, 1-3,2-4,5-7,6-8 among them.  The worst gap to
   the Monte Carlo volume is 0.0004 at k=4, n=40 and 0.006 at k=6, n=10.
-  The opposed count (walks
-  whose |step| pattern is exactly the partition) leaves out the walks with
-  extra coincidences and sits about 4/n lower at k=6 (0.376 at n=10),
-  outside the k=6 band.  Its convergence is checked by the decay clauses
-  and by the opposed-count tests in tests/test_oracle.py.
+  The opposed count (walks whose |step| pattern is exactly the partition)
+  leaves out the walks with extra coincidences and sits about 4/n lower at
+  k=6 (0.376 at n=10), outside the k=6 band.  Its convergence is checked by
+  the decay clauses and by the opposed-count tests in tests/test_oracle.py.
 """
 
 from __future__ import annotations
