@@ -25,7 +25,9 @@ Calibration notes baked into the defaults:
   each partition's cancellation system (`oracle.solution_ratio`): the walks
   with d_i = -d_j on every block, further |step| coincidences allowed.
   Those are the lattice points of (n - 1) times the volume's polytope, so
-  their normalized count is the quantity whose limit the volume is.  At
+  their normalized count is the quantity whose limit the volume is; the
+  census takes them from that lattice-point count (`volumes.lattice_count`
+  at t = n - 1), which tests/test_oracle.py checks against brute force.  At
   k <= 6 it equals volume + (1 - volume)/n^2 at every n: for each crossing
   partition the lattice-point count (`volumes.lattice_polynomial`) obeys
   L(n - 1) = volume n^(k/2+1) + (1 - volume) n^(k/2-1) as polynomials in n
@@ -69,7 +71,7 @@ from .spectra import (
     write_histogram_csv,
     write_moment_csv,
 )
-from .volumes import VolumeCache, toeplitz_volume
+from .volumes import toeplitz_volume
 
 DEFAULT_SEED = 1729
 
@@ -173,19 +175,15 @@ def criterion_2(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
 def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     """Moment formula: order-2 exact, order-4 closed form, Catalan at c=0, odd zero."""
     details, ok = [], True
-    cache = VolumeCache()
     band = tol["se_band"]
 
-    exact2 = all(
-        limiting_moment(2, c, cache, tol["volume_samples"], seed).value == 1.0
-        for c in tol["moment_c_grid"]
-    )
+    exact2 = all(limiting_moment(2, c).value == 1.0 for c in tol["moment_c_grid"])
     ok &= exact2
     details.append(f"order 2 equals 1 exactly on c grid: {exact2}")
 
     worst = 0.0
     for c in tol["moment_c_grid"]:
-        m = limiting_moment(4, c, cache, tol["volume_samples"], seed)
+        m = limiting_moment(4, c)
         target, _ = closed_form_moments(Equicorrelated(c))[4]
         gap = abs(m.value - target)
         if c == 0:
@@ -200,18 +198,13 @@ def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     details.append(f"order 4 matches 2 + (2/3)c^2 within 1 ulp where exact, else within "
                    f"{band}*propagated SE (worst z {worst:.2f})")
 
-    catalan_ok = all(
-        limiting_moment(k, 0.0, cache, tol["volume_samples"], seed).value == float(catalan(k // 2))
-        for k in range(2, 13, 2)
-    )
+    catalan_ok = all(limiting_moment(k, 0.0).value == float(catalan(k // 2))
+                     for k in range(2, 13, 2))
     ok &= catalan_ok
     details.append(f"c=0 moments equal Catalan numbers exactly up to k=12: {catalan_ok}")
 
-    odd_ok = all(
-        limiting_moment(k, c, cache, tol["volume_samples"], seed).value == 0.0
-        for k in (1, 3, 5, 7, 9, 11)
-        for c in (0.0, 0.5, 1.0)
-    )
+    odd_ok = all(limiting_moment(k, c).value == 0.0
+                 for k in (1, 3, 5, 7, 9, 11) for c in (0.0, 0.5, 1.0))
     ok &= odd_ok
     details.append(f"odd moments exactly 0: {odd_ok}")
     return CriterionResult(3, "limiting moment formula", ok, details)
@@ -258,7 +251,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         f"(R={tol['endpoint_independent_realizations']})"
     )
 
-    theory = limiting_moment(4, 1.0, samples=tol["volume_samples"], seed=seed)
+    theory = limiting_moment(4, 1.0)
     stats = run_ensemble(
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
@@ -299,7 +292,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         f"(final {gaps[-1]:.2e} < {tol['cw_final_gap']})"
     )
 
-    theory = limiting_moment(4, c2, samples=tol["volume_samples"], seed=seed)
+    theory = limiting_moment(4, c2)
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
         tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),

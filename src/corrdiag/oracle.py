@@ -8,11 +8,13 @@ and a matched walk is "opposed" when every paired step is reversed
 walks with d_i = -d_j within each block, further coincidences of |d_i|
 (zero steps included) allowed: the integer points of the partition's
 cancellation system x_i - x_{i-1} + x_j - x_{j-1} = 0 on {0,...,n-1}, i.e.
-the lattice points of n times the polytope whose volume `corrdiag.volumes`
-defines (`corrdiag.acceptance` explains which count criterion 7 compares).
-For each opposed walk we also count shared matrix cells: index pairs i < j
-whose steps touch the same unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} —
-and, per block, whether that block itself is cell-tied.
+the lattice points of n - 1 times the polytope whose volume
+`corrdiag.volumes` defines.  The census does not scan for them: it takes
+them from `volumes.lattice_count` at t = n - 1 (`corrdiag.acceptance`
+explains which count criterion 7 compares).  For each opposed walk we also
+count shared matrix cells: index pairs i < j whose steps touch the same
+unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} — and, per block, whether
+that block itself is cell-tied.
 
 Everything is exact integer counting over every walk.  Every count the
 census keeps depends only on the steps and on differences of positions,
@@ -29,7 +31,7 @@ steps, so a cell count is the same for every rotation.  So each slab
 tallies its walks once, weighted by n - s and keyed by (partition, t),
 and the census finally credits rotation j with the counts of every t >= j
 through two tables: the rotated partition of each partition and the
-rotated bit of each pair bit.
+rotated ordinal of each of its blocks.
 
 The scanned walks are split by (p_2, ..., p_k) into slabs of at most
 `_SLAB` walks, so a census holds one slab per worker and its memory stays
@@ -56,6 +58,7 @@ import numpy as np
 
 from ._parallel import check_memory, parallel_map, workers
 from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerate_pair_partitions, height
+from .volumes import lattice_count
 
 COST_GUARD = 10**8
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
@@ -102,34 +105,22 @@ def _census_bytes(n: int, k: int) -> int:
     holds W(2k + 3 + 2b) bytes: its k x W int16 sites, its two bitmasks, an
     int8 trailing run and an int16 weight.  (Building the slab takes at
     most W(2k + 5 + b) more, for its transient k x W int16 steps and the
-    bytes the bits are gathered in, less than the lookup stage below.)  On
-    top of that comes the largest of three stages:
-
-    - `np.unique` of the reversal masks: W(25 + 2b) for a flattened and a
-      sorted copy of the masks, the int64 sort order, one bool per walk and
-      two int64 index rows, plus the D distinct masks, bD.
-    - The solutions table: the int64 key and float64 weights that build it,
-      16W, then 8kD for its D x k float64 rows and as much again for the
-      rows cut down for one bit of step 1, plus 2b + 10 bytes per mask for
-      the masks and their tests.  D <= min(W, 2^pairs), so this assumes
-      every reversal mask in the slab is distinct.
-    - The lookup and shared cells: at most W(2b + 56) when every walk is a
-      candidate (has k/2 |step| bits), as at k = 2, for the candidates'
-      masks, int64 indices, slots and keys, and their bincount weights.
+    bytes the bits are gathered in, less than the lookup below.)  On top of
+    that comes the lookup and shared cells: at most W(2b + 56) when every
+    walk is a candidate (has k/2 |step| bits), as at k = 2, for the
+    candidates' masks, int64 indices, slots and keys, and their bincount
+    weights.
 
     A worker also keeps up to four sets of tallies (its running total, a
     slab's counts, and their sum over workers as float64 and int64), each
-    8k(P(2 * pairs + 4) + 1) bytes for P pair partitions: matched, opposed,
-    solutions, the shared-cell histogram and the block ties, by t.
+    8k(P(pairs + k/2 + 3) + 1) bytes for P pair partitions: matched,
+    opposed, the shared-cell histogram and the block ties, by t, and all
+    walks by t.
     """
     width = min(n ** (k - 1), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
-    masks = min(width, 2**pairs)
-    stage = max(width * (25 + 2 * b) + b * masks,
-                16 * width + masks * (16 * k + 2 * b + 10),
-                width * (2 * b + 56))
-    return width * (2 * k + 3 + 2 * b) + stage + 32 * k * (parts * (2 * pairs + 4) + 1)
+    return width * (2 * k + 59 + 4 * b) + 32 * k * (parts * (pairs + k // 2 + 3) + 1)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -235,12 +226,12 @@ def _trailing_and_span(rows: np.ndarray):
 
 def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
     """Counts of the walks of slab [lo, hi), each weighted by its n - s
-    translates (s its span) and keyed by t, its trailing run: matched,
-    opposed and solutions (P, k) with row r for the partition whose
-    signature is ``signatures[r]`` (sorted), the shared-cell histogram
-    (P, k, pairs + 1), the cell ties of each pair bit (P, k, pairs), and
-    all the slab's walks (k,).  Each walk is visited once; shared cells
-    are worked out for the opposed walks only.
+    translates (s its span) and keyed by t, its trailing run: matched and
+    opposed (P, k) with row r for the partition whose signature is
+    ``signatures[r]`` (sorted), the shared-cell histogram (P, k, pairs + 1),
+    the cell ties of each block (P, k, k/2), blocks in bit order, and all
+    the slab's walks (k,).  Each walk is visited once; shared cells are
+    worked out for the opposed walks only.
 
     ``np.bincount`` sums its weights in float64.  Every sum counts at most
     n^k <= COST_GUARD < 2^53 walks, so each is an exact integer and is cast
@@ -249,30 +240,12 @@ def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
     trailing, span = _trailing_and_span(rows)
     weight = n - span  # int16: n^2 <= COST_GUARD keeps n below 2^15
     del span
-    parts, pairs = len(signatures), k * (k - 1) // 2
-
-    # solutions: a (distinct reversal mask, t) table of weighted walks, then
-    # for each signature the sum of the rows whose mask contains it.  Bits
-    # 0..k-2 are the pairs (1, 2), ..., (1, k), so a signature's lowest bit is
-    # its block holding step 1: the rows are first cut down to those masks.
-    values, key = np.unique(neg, return_inverse=True)
-    key *= k
-    key += trailing
-    table = np.bincount(key, weights=weight, minlength=len(values) * k).reshape(-1, k)
-    del key
-    solutions = np.empty((parts, k))
-    first = signatures & -signatures
-    for bit in range(k - 1):
-        held = (values >> bit) & 1 == 1
-        masks, sums = values[held], np.ascontiguousarray(table[held].T)
-        for r in np.flatnonzero(first == 1 << bit):
-            solutions[r] = sums @ ((masks & signatures[r]) == signatures[r])
-    every = table.sum(axis=0)
-    del values, table, held, masks, sums
+    parts, pairs, half = len(signatures), k * (k - 1) // 2, k // 2
+    every = np.bincount(trailing, weights=weight, minlength=k)
 
     # a signature sets one bit per block, k/2 in all: no other walk can match
     # (masks never set their sign bit, so counting the bits of |eq| is exact)
-    walks = np.flatnonzero(np.bitwise_count(eq) == k // 2)
+    walks = np.flatnonzero(np.bitwise_count(eq) == half)
     eq = eq[walks]
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
     hit = signatures[slot] == eq
@@ -288,38 +261,45 @@ def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
     cells = np.bincount(key * (pairs + 1) + cell_count, weights=weight,
                         minlength=parts * k * (pairs + 1))
 
-    ties = cell & eq
-    hit = ties != 0
-    key, ties, weight = key[hit], ties[hit], weight[hit]
-    block_ties = np.zeros((parts * k, pairs))
-    for bit in range(pairs):
-        tied = ((ties >> bit) & 1).astype(bool)
-        block_ties[:, bit] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
-    return (matched.reshape(parts, k), opposed.reshape(parts, k), solutions,
-            cells.reshape(parts, k, pairs + 1), block_ties.reshape(parts, k, pairs), every)
+    # only block bits can tie: take each walk's blocks from its lowest bit up
+    hit = (cell & eq) != 0
+    key, cell, eq, weight = key[hit], cell[hit], eq[hit], weight[hit]
+    block_ties = np.zeros((parts * k, half))
+    for block in range(half):
+        low = eq & -eq
+        tied = (cell & low) != 0
+        block_ties[:, block] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
+        eq ^= low
+    return (matched.reshape(parts, k), opposed.reshape(parts, k),
+            cells.reshape(parts, k, pairs + 1), block_ties.reshape(parts, k, half), every)
 
 
 def _rotations(k: int, signatures: np.ndarray):
-    """Where rotation j, w -> roll(w, j), sends each partition slot and each
-    pair bit: (k, P) slots and (k, pairs) bits.  Step d_a of w is step
+    """Where rotation j, w -> roll(w, j), sends each partition slot, each
+    pair bit and each block of each slot: (k, P) slots, (k, pairs) bits and
+    (k, P, k/2) block ordinals, blocks in bit order.  Step d_a of w is step
     d_{a+j} (mod k) of roll(w, j), so pair (a, b) becomes (a+j, b+j)."""
     pair_index = _pair_index(k)
     bit = {ij: b for b, ij in enumerate(pair_index)}
     bit_of = np.array([[bit[tuple(sorted(((a + j) % k, (b + j) % k)))] for a, b in pair_index]
                        for j in range(k)])
-    has = (signatures[:, None] >> np.arange(len(pair_index))) & 1
-    rotated = (has[None] << bit_of[:, None, :].astype(signatures.dtype)).sum(axis=2)
-    return np.searchsorted(signatures, rotated), bit_of
+    blocks = np.nonzero((signatures[:, None] >> np.arange(len(pair_index))) & 1)[1]
+    moved = np.int64(1) << bit_of[:, blocks.reshape(len(signatures), k // 2)]
+    rotated = moved.sum(axis=2)
+    # a moved block's ordinal is the number of the rotated partition's bits below it
+    return (np.searchsorted(signatures, rotated), bit_of,
+            np.bitwise_count(rotated[..., None] & (moved - 1)))
 
 
-def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, bit_of=None) -> np.ndarray:
+def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, block_of=None) -> np.ndarray:
     """Per-partition totals from counts keyed by (slot, t, ...): a walk with
     trailing run t gives rotations j = 0..t, so rotation j gets the counts of
-    every t >= j, credited to the rotated slot (and, given ``bit_of``, to the
-    rotated pair bit on the last axis)."""
+    every t >= j, credited to the rotated slot (and, given ``block_of``, to
+    the rotated block ordinal on the last axis)."""
     by_rotation = np.flip(np.cumsum(np.flip(counts, 1), axis=1), 1)
     total = np.zeros((counts.shape[0], *counts.shape[2:]), dtype=np.int64)
-    index = (slot_of.T,) if bit_of is None else (slot_of.T[:, :, None], bit_of[None])
+    index = ((slot_of.T,) if block_of is None
+             else (slot_of.T[:, :, None], block_of.transpose(1, 0, 2)))
     np.add.at(total, index, by_rotation)
     return total
 
@@ -328,7 +308,6 @@ def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, bit_of=None) -> n
 def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
-    pair_index = _pair_index(k)
     ordered, signatures = _signatures(k)
 
     def tally(group):
@@ -343,14 +322,13 @@ def walk_census(n: int, k: int) -> WalkCensus:
     slabs = _slabs(n, k)
     count = workers(len(slabs))
     groups = [slabs[w::count] for w in range(count)]
-    matched, opposed, solutions, cells, ties, every = (
+    matched, opposed, cells, ties, every = (
         sum(column).astype(np.int64) for column in zip(*parallel_map(tally, groups)))
     # a walk with trailing run t stands for its 1 + t rotations
     nonpair = int(np.arange(1, k + 1) @ (every - matched.sum(axis=0)))
-    slot_of, bit_of = _rotations(k, signatures)
-    matched, opposed, solutions, cells = (
-        _credit_rotations(c, slot_of) for c in (matched, opposed, solutions, cells))
-    ties = _credit_rotations(ties, slot_of, bit_of)
+    slot_of, _, block_of = _rotations(k, signatures)
+    matched, opposed, cells = (_credit_rotations(c, slot_of) for c in (matched, opposed, cells))
+    ties = _credit_rotations(ties, slot_of, block_of)
     row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
     for p in enumerate_pair_partitions(k):
@@ -358,10 +336,9 @@ def walk_census(n: int, k: int) -> WalkCensus:
         tallies[p.canonical()] = PartitionTally(
             matched=int(matched[r]),
             opposed=int(opposed[r]),
-            solutions=int(solutions[r]),
+            solutions=lattice_count(p, n - 1),
             shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
-            block_ties={(a, b): int(ties[r, pair_index.index((a - 1, b - 1))])
-                        for a, b in p.blocks},
+            block_ties={block: int(ties[r, o]) for o, block in enumerate(p.blocks)},
         )
     return WalkCensus(n, k, n**k, tallies, nonpair)
 

@@ -17,8 +17,9 @@ by 0 <= row . f <= 1 for each row that can fail.  Its lattice-point count
 L(t) = #(tP cap Z^(k/2+1)) is a polynomial of degree k/2 + 1 in t (the
 Ehrhart polynomial; Beck-Robins, *Computing the Continuous Discretely*), and
 its leading coefficient is the volume.  L(t) at t = n - 1 is also the
-number of walks on n sites that solve the partition's cancellation system
-(`oracle.PartitionTally.solutions`).  The counter enumerates k/2 free
+number of walks on n sites that solve the partition's cancellation system,
+and `lattice_count` is where the walk census takes its
+`oracle.PartitionTally.solutions` from.  The counter enumerates k/2 free
 variables on {0..t} and solves for the column most rows use: its admissible
 values form an interval, whose ends take one floor division per row.
 The polynomial is fitted through t = 0..k/2+1 with exact differences and
@@ -115,9 +116,12 @@ def solve_partition_system(p: PairPartition) -> SolvedSystem:
 
 
 def _rows_that_can_fail(matrix: np.ndarray) -> np.ndarray:
-    """Distinct rows of ``matrix`` that are not a unit vector (module docstring)."""
+    """Distinct rows of ``matrix`` that are not a unit vector (module docstring),
+    in sorted order.  (Sorted in Python: ``np.unique`` imports ``numpy.ma`` on
+    first use, about 30 ms, which a walk census would otherwise pay.)"""
     unit = (np.count_nonzero(matrix, axis=1) == 1) & (matrix.sum(axis=1) == 1.0)
-    return np.unique(matrix[~unit], axis=0)
+    kept = sorted(set(map(tuple, matrix[~unit].tolist())))
+    return np.array(kept, dtype=matrix.dtype).reshape(len(kept), matrix.shape[1])
 
 
 def _chunk_hits(seed: int, start: int, count: int, rows: np.ndarray) -> int:
@@ -161,19 +165,19 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
     return VolumeEstimate(value, std_error, samples, seed, False)
 
 
-def _lattice_counts(rows: np.ndarray, top: int) -> list[int]:
+def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
     """Points f of {0..t}^d with 0 <= rows @ f <= t, for integer ``rows`` (R, d)
-    and every t = 0..top.
+    and each t in ``sizes``.
 
     The column most rows use is solved rather than enumerated: a row with
     coefficient a != 0 there bounds it to the interval from 0 <= s + a x <= t,
     where s is the row's sum over the other columns; a row with a == 0 is an
     all-or-nothing test of s.  The sums over the grid of the other d - 1
-    columns are built once at t = top, and each smaller t reads the corner
-    of that grid where every column is at most t.  Memory: R int64 sums over
-    (top + 1)^(d-1) points, plus the two bounds and two temporaries.
+    columns are built once at the largest t, top, and each smaller t reads
+    the corner of that grid where every column is at most t.  Memory: R int64
+    sums over (top + 1)^(d-1) points, plus the two bounds and two temporaries.
     """
-    dims = rows.shape[1]
+    dims, top = rows.shape[1], max(sizes)
     last = int(np.argmax(np.count_nonzero(rows, axis=0))) if len(rows) else 0
     others = [j for j in range(dims) if j != last]
     check_memory(f"a k={2 * (dims - 1)} lattice count up to t={top}",
@@ -187,7 +191,7 @@ def _lattice_counts(rows: np.ndarray, top: int) -> list[int]:
         all_sums.append(sums)
 
     counts = []
-    for t in range(top + 1):
+    for t in sizes:
         corner = (slice(0, t + 1),) * len(others)
         lo = np.zeros((t + 1,) * len(others), dtype=np.int64)
         hi = np.full_like(lo, t)
@@ -231,7 +235,7 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     """
     degree = p.k // 2 + 1
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
-    counts = _lattice_counts(rows, degree + 2)
+    counts = _lattice_counts(rows, range(degree + 3))
     coefficients = _fit_polynomial(counts[:degree + 1])
     for t in (degree + 1, degree + 2):
         fitted = sum(c * t**i for i, c in enumerate(coefficients))
@@ -264,6 +268,20 @@ def _orbit_key(p: PairPartition) -> str:
 @lru_cache(maxsize=None)
 def _orbit_volume(key: str) -> Fraction:
     return lattice_polynomial(PairPartition.from_string(key))[-1]
+
+
+@lru_cache(maxsize=None)
+def _orbit_count(key: str, t: int) -> int:
+    p = PairPartition.from_string(key)
+    rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
+    return _lattice_counts(rows, [t])[0]
+
+
+def lattice_count(p: PairPartition, t: int) -> int:
+    """L(t) of `lattice_polynomial`, counted at this t alone, once per
+    dihedral orbit and kept for the life of the process.  At t = n - 1 it is
+    the number of walks on n sites that solve p's cancellation system."""
+    return _orbit_count(_orbit_key(p), t)
 
 
 def exact_volume(p: PairPartition) -> Fraction:

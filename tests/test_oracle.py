@@ -333,7 +333,7 @@ def _brute_force_census(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8), (1, 4), (4, 4), (4, 6), (6, 4), (2, 6), (3, 8),
-                                 (1, 2), (2, 2)])
+                                 (1, 2), (2, 2), (2, 10), (1, 10)])
 def test_census_matches_brute_force(n, k):
     expected, nonpair = _brute_force_census(n, k)
     census = walk_census(n, k)
@@ -388,8 +388,8 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
     # by the rotation tables the census credits them through
     rows = _slab(n, k, 0, n ** (k - 1))[0]
     pair_index = _pair_index(k)
-    signatures = _signatures(k)[1]
-    slot_of, bit_of = _rotations(k, signatures)
+    ordered, signatures = _signatures(k)
+    slot_of, bit_of, block_of = _rotations(k, signatures)
     trailing, span = _trailing_and_span(rows)
     for column in range(rows.shape[1]):
         walk = tuple(rows[:, column].tolist())
@@ -407,6 +407,12 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
         for j in range(k):
             rotated = sum(1 << int(bit_of[j, b]) for b in range(len(pair_index)) if sig >> b & 1)
             assert signatures[slot_of[j, slot]] == rotated
+            # block o of the partition, in p.blocks order, is block block_of[j, slot, o]
+            # of the rotated partition
+            blocks = PairPartition.from_string(ordered[slot_of[j, slot]]).blocks
+            for o, (a, b) in enumerate(PairPartition.from_string(ordered[slot]).blocks):
+                moved = tuple(sorted(((a - 1 + j) % k + 1, (b - 1 + j) % k + 1)))
+                assert blocks.index(moved) == block_of[j, slot, o]
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (12, 2), (7, 4), (20, 4), (5, 6), (3, 8)])

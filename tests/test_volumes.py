@@ -248,7 +248,7 @@ def test_lattice_counts_match_brute_force():
         brute = [sum(1 for f in itertools.product(range(t + 1), repeat=full.shape[1])
                      if ((full @ f >= 0) & (full @ f <= t)).all())
                  for t in range(4)]
-        assert _lattice_counts(rows, 3) == brute, p.canonical()
+        assert _lattice_counts(rows, range(4)) == brute, p.canonical()
 
 
 def test_lattice_counts_with_wider_coefficients_match_brute_force():
@@ -258,7 +258,7 @@ def test_lattice_counts_with_wider_coefficients_match_brute_force():
     brute = [sum(1 for f in itertools.product(range(t + 1), repeat=3)
                  if ((rows @ f >= 0) & (rows @ f <= t)).all())
              for t in range(6)]
-    assert _lattice_counts(rows, 5) == brute
+    assert _lattice_counts(rows, range(6)) == brute
 
 
 def test_lattice_polynomial_is_invariant_on_dihedral_orbits():
@@ -291,8 +291,8 @@ def test_orbit_key_is_shared_by_rotations_and_the_reflection():
 def test_lattice_polynomial_raises_when_a_confirming_count_disagrees(monkeypatch):
     p = PairPartition.from_string("1-3,2-5,4-6")
     good = _lattice_counts(_rows_that_can_fail(
-        solve_partition_system(p).coefficient_matrix()).astype(np.int64), 6)
-    monkeypatch.setattr(vol, "_lattice_counts", lambda rows, top: [*good[:-1], good[-1] + 1])
+        solve_partition_system(p).coefficient_matrix()).astype(np.int64), range(7))
+    monkeypatch.setattr(vol, "_lattice_counts", lambda rows, sizes: [*good[:-1], good[-1] + 1])
     with pytest.raises(ArithmeticError, match="t=6"):
         lattice_polynomial(p)
 
