@@ -8,9 +8,9 @@ numbers (the semicircle moments).  Odd moments vanish.
 
 Up to order EXACT_MAX_K the volumes are exact (`volumes.exact_volume`), so
 m_k(c) is a polynomial in c with rational coefficients, built once per k.
-Above it the crossing volumes are Monte Carlo estimates.  Counting k = 12
-exactly holds about 10^6 grid points per count; it waits for a counter that
-works in chunks.
+Above it the crossing volumes are Monte Carlo estimates.  The counter
+already reaches k = 12 (its largest count holds 6^6 grid points), so
+raising EXACT_MAX_K is the next step.
 """
 
 from __future__ import annotations

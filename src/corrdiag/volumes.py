@@ -21,9 +21,14 @@ number of walks on n sites that solve the partition's cancellation system,
 and `lattice_count` is where the walk census takes its
 `oracle.PartitionTally.solutions` from.  The counter enumerates k/2 free
 variables on {0..t} and solves for the column most rows use: its admissible
-values form an interval, whose ends take one floor division per row.
-The polynomial is fitted through t = 0..k/2+1 with exact differences and
-confirmed at two further sizes.
+values form an interval, whose ends take one floor division per row.  It
+counts the interior of tP too (every free variable and row sum in
+{1..t-1}), and Ehrhart-Macdonald reciprocity, L(-t) = (-1)^(k/2+1) L°(t),
+turns interior counts into values of L at negative t.  So the polynomial is
+fitted with exact differences on the window t = -floor(d/2)..ceil(d/2),
+d = k/2 + 1, and confirmed by one more closed and one more interior count:
+the largest count is at t = ceil(d/2) + 1 (4 at k = 10, against 8 for a fit
+from t = 0).
 
 Reproducibility contract: the uniform stream is a counter-based generator
 (Philox) laid out as sample index -> point, and chunks are aligned on
@@ -166,18 +171,20 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
 
 
 def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
-    """Points f of {0..t}^d with 0 <= rows @ f <= t, for integer ``rows`` (R, d)
-    and each t in ``sizes``.
+    """Lattice points of tP for integer ``rows`` (R, d) and each (t, inset) in
+    ``sizes``: points f of {inset..t-inset}^d with inset <= rows @ f <= t - inset.
+    Inset 0 counts the closed polytope, inset 1 its interior.
 
     The column most rows use is solved rather than enumerated: a row with
-    coefficient a != 0 there bounds it to the interval from 0 <= s + a x <= t,
-    where s is the row's sum over the other columns; a row with a == 0 is an
-    all-or-nothing test of s.  The sums over the grid of the other d - 1
-    columns are built once at the largest t, top, and each smaller t reads
-    the corner of that grid where every column is at most t.  Memory: R int64
-    sums over (top + 1)^(d-1) points, plus the two bounds and two temporaries.
+    coefficient a != 0 there bounds it to the interval from
+    inset <= s + a x <= t - inset, where s is the row's sum over the other
+    columns; a row with a == 0 is an all-or-nothing test of s.  The sums over
+    the grid of the other d - 1 columns are built once at the largest t, top,
+    and each count reads the corner of that grid where every column lies in
+    {inset..t-inset}.  Memory: R int64 sums over (top + 1)^(d-1) points, plus
+    the two bounds and two temporaries.
     """
-    dims, top = rows.shape[1], max(sizes)
+    dims, top = rows.shape[1], max(t for t, _ in sizes)
     last = int(np.argmax(np.count_nonzero(rows, axis=0))) if len(rows) else 0
     others = [j for j in range(dims) if j != last]
     check_memory(f"a k={2 * (dims - 1)} lattice count up to t={top}",
@@ -191,17 +198,19 @@ def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
         all_sums.append(sums)
 
     counts = []
-    for t in sizes:
-        corner = (slice(0, t + 1),) * len(others)
-        lo = np.zeros((t + 1,) * len(others), dtype=np.int64)
-        hi = np.full_like(lo, t)
+    for t, inset in sizes:
+        floor, ceiling = inset, t - inset
+        corner = (slice(floor, ceiling + 1),) * len(others)
+        lo = np.full((max(ceiling - floor + 1, 0),) * len(others), floor, dtype=np.int64)
+        hi = np.full_like(lo, ceiling)
         for row, sums in zip(rows, all_sums):
             sums, a = sums[corner], int(row[last])
             if a == 0:
-                hi[(sums < 0) | (sums > t)] = -1
+                hi[(sums < floor) | (sums > ceiling)] = floor - 1
                 continue
-            # a > 0: -s/a <= x <= (t - s)/a;  a < 0: (s - t)/|a| <= x <= s/|a|
-            down, up = (sums, t - sums) if a > 0 else (t - sums, sums)
+            # a > 0: (floor - s)/a <= x <= (ceiling - s)/a;
+            # a < 0: (s - ceiling)/|a| <= x <= (s - floor)/|a|
+            down, up = (sums - floor, ceiling - sums) if a > 0 else (ceiling - sums, sums - floor)
             if abs(a) > 1:
                 down, up = down // abs(a), up // abs(a)
             np.maximum(lo, -down, out=lo)
@@ -211,58 +220,89 @@ def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
     return counts
 
 
-def _fit_polynomial(values: list[int]) -> tuple[Fraction, ...]:
+def _fit_polynomial(values: list[int], start: int = 0) -> tuple[Fraction, ...]:
     """Coefficients, constant first, of the polynomial of degree len(values) - 1
-    through (t, values[t]): Newton's forward differences times binomial(t, j)."""
-    coefficients = [Fraction(0)] * len(values)
-    falling = [1]  # t (t - 1) ... (t - j + 1), constant first
+    through (start + i, values[i]): Newton's forward differences times
+    (t - start)(t - start - 1)...(t - start - j + 1) / j!, summed in integers
+    over the common denominator (len(values) - 1)!."""
+    degree = len(values) - 1
+    scale = math.factorial(degree)
+    numerators = [0] * len(values)
+    falling = [1]  # (t - start)(t - start - 1) ... (t - start - j + 1), constant first
     for j in range(len(values)):
-        delta = Fraction(values[0], math.factorial(j))
+        delta = values[0] * (scale // math.factorial(j))
         for i, f in enumerate(falling):
-            coefficients[i] += delta * f
+            numerators[i] += delta * f
         values = [b - a for a, b in zip(values, values[1:])]
-        falling = [(falling[i - 1] if i else 0) - j * (falling[i] if i < len(falling) else 0)
+        shift = start + j
+        falling = [(falling[i - 1] if i else 0) - shift * (falling[i] if i < len(falling) else 0)
                    for i in range(len(falling) + 1)]
-    return tuple(coefficients)
+    return tuple(Fraction(n, scale) for n in numerators)
 
 
 def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
-    """Ehrhart polynomial L(t) of the volume's polytope, constant first.
+    """Ehrhart polynomial L(t) of the volume's polytope P, constant first.
 
-    Fitted through t = 0..k/2+1 and confirmed at t = k/2+2 and k/2+3;
-    raises ArithmeticError if either count disagrees, as it would if the
-    count were not a polynomial of that degree.
+    L has degree d = k/2 + 1.  Ehrhart-Macdonald reciprocity gives
+    L(-t) = (-1)^d L°(t), where L°(t) counts the interior lattice points of
+    tP (Beck-Robins, ch. 4).  So L is fitted on the symmetric window
+    t = -floor(d/2)..ceil(d/2): closed counts at t >= 0 and signed interior
+    counts at t < 0, all read off one grid of ceil(d/2) + 2 points a side.
+
+    Both Ehrhart's theorem and reciprocity need P to be a lattice polytope.
+    For every crossing partition up to k = 10 the determined rows are
+    totally unimodular (a test checks every square minor), so with the unit
+    rows of the free variables they cut out a polytope with integer vertices
+    (Hoffman-Kruskal), and the fit is exact.  Two more counts cross-check
+    it: the closed count at t = ceil(d/2) + 1 and the interior count at
+    floor(d/2) + 1.  ArithmeticError is raised if either disagrees.
     """
     degree = p.k // 2 + 1
+    below, above = degree // 2, degree - degree // 2
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
-    counts = _lattice_counts(rows, range(degree + 3))
-    coefficients = _fit_polynomial(counts[:degree + 1])
-    for t in (degree + 1, degree + 2):
+    sizes = [(t, 0) for t in range(above + 2)] + [(t, 1) for t in range(1, below + 2)]
+    counts = _lattice_counts(rows, sizes)
+    closed, interior = counts[:above + 2], [(-1) ** degree * c for c in counts[above + 2:]]
+    window = interior[below - 1::-1] + closed[:above + 1]
+    coefficients = _fit_polynomial(window, start=-below)
+    for t, count in ((above + 1, closed[-1]), (-below - 1, interior[-1])):
         fitted = sum(c * t**i for i, c in enumerate(coefficients))
-        if fitted != counts[t]:
-            raise ArithmeticError(f"lattice count of {p.canonical()} at t={t} is {counts[t]}, "
+        if fitted != count:
+            raise ArithmeticError(f"lattice counts of {p.canonical()} give L({t}) = {count}, "
                                   f"not the fitted polynomial's {fitted}")
     return coefficients
+
+
+# canonical form of a partition -> its orbit's key, filled an orbit at a time
+_ORBIT_KEYS: dict[str, str] = {}
 
 
 def _orbit_key(p: PairPartition) -> str:
     """Canonical form of one representative of p's orbit under the dihedral
     group: rotations i -> i + r (mod k) and the reflection i -> k + 1 - i.
-    The representative has the least partner list (partner of 1, 2, ..., k)."""
+    The representative has the least partner list (partner of 1, 2, ..., k).
+    The first member met of an orbit computes all 2k images and records each
+    image's canonical form against the key, for the life of the process."""
+    key = _ORBIT_KEYS.get(p.canonical())
+    if key is not None:
+        return key
     k = p.k
     partner = [0] * k
     for a, b in p.blocks:
         partner[a - 1], partner[b - 1] = b - 1, a - 1
-    best = None
+    images = []
     for start in (range(k), range(k - 1, -1, -1)):
         for r in range(k):
             move = [(i + r) % k for i in start]
             image = [0] * k
             for i in range(k):
                 image[move[i]] = move[partner[i]]
-            if best is None or image < best:
-                best = image
-    return ",".join(f"{i + 1}-{j + 1}" for i, j in enumerate(best) if i < j)
+            images.append(image)
+    texts = [",".join(f"{i + 1}-{j + 1}" for i, j in enumerate(image) if i < j)
+             for image in images]
+    key = texts[images.index(min(images))]
+    _ORBIT_KEYS.update(dict.fromkeys(texts, key))
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +314,7 @@ def _orbit_volume(key: str) -> Fraction:
 def _orbit_count(key: str, t: int) -> int:
     p = PairPartition.from_string(key)
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
-    return _lattice_counts(rows, [t])[0]
+    return _lattice_counts(rows, [(t, 0)])[0]
 
 
 def lattice_count(p: PairPartition, t: int) -> int:

@@ -3,6 +3,7 @@ counts, cache."""
 
 import dataclasses
 import itertools
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from corrdiag.volumes import (
     VolumeCache,
     VolumeEstimate,
     _chunk_hits,
+    _fit_polynomial,
     _lattice_counts,
     _orbit_key,
     _rows_that_can_fail,
@@ -241,24 +243,66 @@ def test_lattice_count_at_n_minus_1_is_the_census_solution_count(n, k):
         assert _evaluate(lattice_polynomial(p), n - 1) == census.tallies[p.canonical()].solutions
 
 
+def _brute_counts(full, sizes):
+    """Points f of {inset..t-inset}^d with inset <= full @ f <= t - inset."""
+    return [sum(1 for f in itertools.product(range(inset, t + 1 - inset), repeat=full.shape[1])
+                if ((full @ f >= inset) & (full @ f <= t - inset)).all())
+            for t, inset in sizes]
+
+
 def test_lattice_counts_match_brute_force():
+    # inset 0 counts the closed polytope, inset 1 its interior
+    sizes = [(t, inset) for inset in (0, 1) for t in range(5)]
     for p in _crossing(4) + _crossing(6):
         full = np.array([coeffs for _, coeffs in solve_partition_system(p).determined])
         rows = _rows_that_can_fail(full).astype(np.int64)
-        brute = [sum(1 for f in itertools.product(range(t + 1), repeat=full.shape[1])
-                     if ((full @ f >= 0) & (full @ f <= t)).all())
-                 for t in range(4)]
-        assert _lattice_counts(rows, range(4)) == brute, p.canonical()
+        assert _lattice_counts(rows, sizes) == _brute_counts(full, sizes), p.canonical()
 
 
 def test_lattice_counts_with_wider_coefficients_match_brute_force():
     # no partition up to k = 10 has a coefficient outside {-1, 0, 1}; column 0,
     # solved here, has coefficients 2, -3 and 2, and the last row skips it
     rows = np.array([[2, 1, 0], [-3, 1, 1], [2, 0, -1], [0, 1, -1]])
-    brute = [sum(1 for f in itertools.product(range(t + 1), repeat=3)
-                 if ((rows @ f >= 0) & (rows @ f <= t)).all())
-             for t in range(6)]
-    assert _lattice_counts(rows, range(6)) == brute
+    sizes = [(t, inset) for inset in (0, 1) for t in range(7)]
+    assert _lattice_counts(rows, sizes) == _brute_counts(rows, sizes)
+
+
+def _orbits(max_k):
+    return [PairPartition.from_string(key)
+            for key in dict.fromkeys(_orbit_key(p) for k in range(4, max_k + 1, 2)
+                                     for p in _crossing(k))]
+
+
+def test_determined_rows_are_totally_unimodular():
+    # Every square minor of every orbit's determined rows is 0 or +-1.  With
+    # the unit rows of the free variables the volume's polytope then has
+    # integer vertices, the premise of Ehrhart's theorem and of reciprocity.
+    orbits = _orbits(10)
+    assert len(orbits) == 91
+    for k in (4, 6, 8, 10):
+        matrices = np.array([solve_partition_system(p).coefficient_matrix()
+                             for p in orbits if p.k == k])
+        height, width = matrices.shape[1:]
+        minors = 0
+        for size in range(1, height + 1):
+            picked = matrices[:, list(itertools.combinations(range(height), size))]
+            picked = picked[..., list(itertools.combinations(range(width), size))]
+            dets = np.linalg.det(np.moveaxis(picked, 2, -2))
+            assert np.all(np.abs(dets - np.rint(dets)) < 1e-9), k
+            assert np.isin(np.rint(dets), (-1, 0, 1)).all(), k
+            minors += dets[0].size
+        assert minors == {4: 9, 6: 34, 8: 125, 10: 461}[k]
+
+
+def test_reciprocity_fit_equals_the_closed_count_fit():
+    # the fit before reciprocity: closed counts at t = 0..d+2, fitted from t = 0
+    for p in _orbits(10):
+        degree = p.k // 2 + 1
+        rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
+        counts = _lattice_counts(rows, [(t, 0) for t in range(degree + 3)])
+        old = _fit_polynomial(counts[:degree + 1])
+        assert [_evaluate(old, t) for t in range(degree + 3)] == counts, p.canonical()
+        assert lattice_polynomial(p) == old, p.canonical()
 
 
 def test_lattice_polynomial_is_invariant_on_dihedral_orbits():
@@ -289,12 +333,18 @@ def test_orbit_key_is_shared_by_rotations_and_the_reflection():
 
 
 def test_lattice_polynomial_raises_when_a_confirming_count_disagrees(monkeypatch):
+    # d = 4: the fit reads closed counts at t = 0..2 and interior ones at
+    # t = 1, 2; the closed and the interior count at t = 3 confirm it
     p = PairPartition.from_string("1-3,2-5,4-6")
-    good = _lattice_counts(_rows_that_can_fail(
-        solve_partition_system(p).coefficient_matrix()).astype(np.int64), range(7))
-    monkeypatch.setattr(vol, "_lattice_counts", lambda rows, sizes: [*good[:-1], good[-1] + 1])
-    with pytest.raises(ArithmeticError, match="t=6"):
-        lattice_polynomial(p)
+    real = vol._lattice_counts
+    for tampered, shown in (((3, 0), "L(3)"), ((3, 1), "L(-3)")):
+        def counts(rows, sizes):
+            assert tampered in sizes
+            return [c + (size == tampered) for size, c in zip(sizes, real(rows, sizes))]
+
+        monkeypatch.setattr(vol, "_lattice_counts", counts)
+        with pytest.raises(ArithmeticError, match=re.escape(shown)):
+            lattice_polynomial(p)
 
 
 def test_monte_carlo_volumes_agree_with_exact():
