@@ -220,7 +220,7 @@ def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
     return counts
 
 
-def _fit_polynomial(values: list[int], start: int = 0) -> tuple[Fraction, ...]:
+def _fit_polynomial(values: list[int], start: int) -> tuple[Fraction, ...]:
     """Coefficients, constant first, of the polynomial of degree len(values) - 1
     through (start + i, values[i]): Newton's forward differences times
     (t - start)(t - start - 1)...(t - start - j + 1) / j!, summed in integers

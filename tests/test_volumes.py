@@ -300,7 +300,7 @@ def test_reciprocity_fit_equals_the_closed_count_fit():
         degree = p.k // 2 + 1
         rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
         counts = _lattice_counts(rows, [(t, 0) for t in range(degree + 3)])
-        old = _fit_polynomial(counts[:degree + 1])
+        old = _fit_polynomial(counts[:degree + 1], 0)
         assert [_evaluate(old, t) for t in range(degree + 3)] == counts, p.canonical()
         assert lattice_polynomial(p) == old, p.canonical()
 
