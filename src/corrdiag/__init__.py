@@ -21,7 +21,6 @@ from .oracle import (
     check_excess_crossing_decay,
     check_cell_bound,
     check_sn_minus_snstar_decay,
-    solution_ratio,
     walk_census,
 )
 from .partitions import (
@@ -90,7 +89,6 @@ __all__ = [
     "run_ensemble",
     "concentration_probe",
     "walk_census",
-    "solution_ratio",
     "check_cell_bound",
     "check_sn_minus_snstar_decay",
     "check_excess_crossing_decay",

@@ -22,12 +22,12 @@ Calibration notes baked into the defaults:
   is strict monotone decrease, and the k=6 tie example uses a block with
   nonzero counts.
 * Ratio clauses (k=4 at n=40, k=6 at n=10) compare the solution count of
-  each partition's cancellation system (`oracle.solution_ratio`): the walks
+  each partition's cancellation system, normalized by n^(k/2+1): the walks
   with d_i = -d_j on every block, further |step| coincidences allowed.
   Those are the lattice points of (n - 1) times the volume's polytope, so
-  their normalized count is the quantity whose limit the volume is; the
-  census takes them from that lattice-point count (`volumes.lattice_count`
-  at t = n - 1), which tests/test_oracle.py checks against brute force.  At
+  their normalized count is the quantity whose limit the volume is.  The
+  clauses read that count directly (`volumes.lattice_count` at t = n - 1);
+  tests/test_oracle.py checks it against brute-force walk counts.  At
   k <= 6 it equals volume + (1 - volume)/n^2 at every n: for each crossing
   partition the lattice-point count (`volumes.lattice_polynomial`) obeys
   L(n - 1) = volume n^(k/2+1) + (1 - volume) n^(k/2-1) as polynomials in n
@@ -55,8 +55,6 @@ from .oracle import (
     check_cell_bound,
     check_grid,
     check_sn_minus_snstar_decay,
-    solution_ratio,
-    walk_census,
 )
 from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import CurieWeiss, Equicorrelated, Independent, Toeplitz, build_matrix, child_seed
@@ -71,7 +69,7 @@ from .spectra import (
     write_histogram_csv,
     write_moment_csv,
 )
-from .volumes import toeplitz_volume
+from .volumes import lattice_count, toeplitz_volume
 
 DEFAULT_SEED = 1729
 
@@ -319,11 +317,11 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
 
     for k, offset in ((4, 0), (6, 100)):
         n, allowed = tol[f"oracle_k{k}_n"], tol[f"oracle_k{k}_gap"]
-        census = walk_census(n, k)
         worst = 0.0
         for index, p in enumerate(enumerate_pair_partitions(k)):
+            ratio = lattice_count(p, n - 1) / n ** (k // 2 + 1)
             vol = toeplitz_volume(p, tol["volume_samples"], child_seed(seed, 7, offset + index)).value
-            worst = max(worst, abs(solution_ratio(census, p) - vol))
+            worst = max(worst, abs(ratio - vol))
         ratio_ok = worst <= allowed
         ok &= ratio_ok
         details.append(

@@ -4,17 +4,15 @@ A closed walk (p_1,...,p_k) on {1,...,n} has steps d_i = p_{i+1} - p_i
 (cyclically).  Its step magnitudes |d_i| induce an equality pattern on
 {1,...,k}; walks whose pattern is exactly a pair partition are "matched",
 and a matched walk is "opposed" when every paired step is reversed
-(d_i = -d_j within each block).  The "solutions" of a partition are all
-walks with d_i = -d_j within each block, further coincidences of |d_i|
-(zero steps included) allowed: the integer points of the partition's
-cancellation system x_i - x_{i-1} + x_j - x_{j-1} = 0 on {0,...,n-1}, i.e.
-the lattice points of n - 1 times the polytope whose volume
-`corrdiag.volumes` defines.  The census does not scan for them: it takes
-them from `volumes.lattice_count` at t = n - 1 (`corrdiag.acceptance`
-explains which count criterion 7 compares).  For each opposed walk we also
-count shared matrix cells: index pairs i < j whose steps touch the same
+(d_i = -d_j within each block).  For each opposed walk we also count
+shared matrix cells: index pairs i < j whose steps touch the same
 unordered cell {p_i, p_{i+1}} = {p_j, p_{j+1}} — and, per block, whether
-that block itself is cell-tied.
+that block itself is cell-tied.  The census keeps only counts of the
+walks it scans.  The walks that solve a partition's cancellation system,
+further |d_i| coincidences allowed, are the lattice points of n - 1 times
+the volume's polytope and are counted by `volumes.lattice_count`;
+`corrdiag.acceptance` explains which of the two counts criterion 7
+compares.
 
 Everything is exact integer counting over every walk.  Every count the
 census keeps depends only on the steps and on differences of positions,
@@ -58,7 +56,6 @@ import numpy as np
 
 from ._parallel import check_memory, parallel_map, workers
 from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerate_pair_partitions, height
-from .volumes import lattice_count
 
 COST_GUARD = 10**8
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
@@ -71,9 +68,10 @@ _SLAB = 2**16
 
 @dataclass(eq=False)
 class PartitionTally:
+    """Counts of one partition's walks, all read off the scan."""
+
     matched: int = 0
     opposed: int = 0
-    solutions: int = 0  # walks solving the cancellation system, opposed ones included
     shared_cells: dict[int, int] = field(default_factory=dict)  # m value -> opposed walks
     block_ties: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -336,7 +334,6 @@ def walk_census(n: int, k: int) -> WalkCensus:
         tallies[p.canonical()] = PartitionTally(
             matched=int(matched[r]),
             opposed=int(opposed[r]),
-            solutions=lattice_count(p, n - 1),
             shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
             block_ties={block: int(ties[r, o]) for o, block in enumerate(p.blocks)},
         )
@@ -346,12 +343,6 @@ def walk_census(n: int, k: int) -> WalkCensus:
 def _scale(n: int, k: int) -> int:
     """n^(k/2 + 1), the order of a partition's walk counts at size n."""
     return n ** (k // 2 + 1)
-
-
-def solution_ratio(census: WalkCensus, p: PairPartition) -> float:
-    """Cancellation-system solution count normalized by n^(k/2 + 1); see
-    `corrdiag.acceptance` for why criterion 7 compares it with the volume."""
-    return census.tallies[p.canonical()].solutions / _scale(census.n, census.k)
 
 
 def check_cell_bound(n: int, k: int) -> dict:

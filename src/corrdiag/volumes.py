@@ -17,9 +17,10 @@ by 0 <= row . f <= 1 for each row that can fail.  Its lattice-point count
 L(t) = #(tP cap Z^(k/2+1)) is a polynomial of degree k/2 + 1 in t (the
 Ehrhart polynomial; Beck-Robins, *Computing the Continuous Discretely*), and
 its leading coefficient is the volume.  L(t) at t = n - 1 is also the
-number of walks on n sites that solve the partition's cancellation system,
-and `lattice_count` is where the walk census takes its
-`oracle.PartitionTally.solutions` from.  The counter enumerates k/2 free
+number of walks on n sites that solve the partition's cancellation system
+(`lattice_count`).  One cache per dihedral orbit keeps the fitted
+polynomial: `exact_volume` reads its leading coefficient and
+`lattice_count` evaluates it at t.  The counter enumerates k/2 free
 variables on {0..t} and solves for the column most rows use: its admissible
 values form an interval, whose ends take one floor division per row.  It
 counts the interior of tP too (every free variable and row sum in
@@ -240,6 +241,11 @@ def _fit_polynomial(values: list[int], start: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, scale) for n in numerators)
 
 
+def _evaluate(coefficients: tuple[Fraction, ...], t: int) -> Fraction:
+    """The polynomial with ``coefficients``, constant first, at t."""
+    return sum(c * t**i for i, c in enumerate(coefficients))
+
+
 def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     """Ehrhart polynomial L(t) of the volume's polytope P, constant first.
 
@@ -266,7 +272,7 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     window = interior[below - 1::-1] + closed[:above + 1]
     coefficients = _fit_polynomial(window, start=-below)
     for t, count in ((above + 1, closed[-1]), (-below - 1, interior[-1])):
-        fitted = sum(c * t**i for i, c in enumerate(coefficients))
+        fitted = _evaluate(coefficients, t)
         if fitted != count:
             raise ArithmeticError(f"lattice counts of {p.canonical()} give L({t}) = {count}, "
                                   f"not the fitted polynomial's {fitted}")
@@ -306,31 +312,29 @@ def _orbit_key(p: PairPartition) -> str:
 
 
 @lru_cache(maxsize=None)
-def _orbit_volume(key: str) -> Fraction:
-    return lattice_polynomial(PairPartition.from_string(key))[-1]
-
-
-@lru_cache(maxsize=None)
-def _orbit_count(key: str, t: int) -> int:
-    p = PairPartition.from_string(key)
-    rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
-    return _lattice_counts(rows, [(t, 0)])[0]
+def _orbit_polynomial(key: str) -> tuple[Fraction, ...]:
+    return lattice_polynomial(PairPartition.from_string(key))
 
 
 def lattice_count(p: PairPartition, t: int) -> int:
-    """L(t) of `lattice_polynomial`, counted at this t alone, once per
-    dihedral orbit and kept for the life of the process.  At t = n - 1 it is
-    the number of walks on n sites that solve p's cancellation system."""
-    return _orbit_count(_orbit_key(p), t)
+    """L(t) = #(tP cap Z^(k/2+1)): `lattice_polynomial`, fitted once per
+    dihedral orbit and kept for the life of the process, evaluated at t.
+    Its forward differences are integers, so L(t) is one.  At t = n - 1 it
+    is the number of walks on n sites that solve p's cancellation system.
+    At t < 0 the polynomial is a signed interior count (reciprocity), not a
+    count of tP, so ValueError is raised."""
+    if t < 0:
+        raise ValueError(f"a lattice count needs t >= 0, got t = {t}")
+    return int(_evaluate(_orbit_polynomial(_orbit_key(p)), t))
 
 
 def exact_volume(p: PairPartition) -> Fraction:
     """Exact volume of the cube section attached to ``p``: the leading
-    coefficient of `lattice_polynomial`, counted once per dihedral orbit
-    and kept for the life of the process."""
+    coefficient of `lattice_polynomial`, fitted once per dihedral orbit and
+    kept for the life of the process."""
     if not is_crossing(p):
         return Fraction(1)
-    return _orbit_volume(_orbit_key(p))
+    return _orbit_polynomial(_orbit_key(p))[-1]
 
 
 class VolumeCache:

@@ -379,6 +379,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("moments", "--k", "0"),
     ("oracle", "--n", "5", "--k", "0"),
     ("oracle", "--n", "5", "--k", "3"),
+    ("verify", "--criteria", "7", "--tolerances", '{"oracle_k4_n": 0}'),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

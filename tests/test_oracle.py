@@ -25,10 +25,10 @@ from corrdiag.oracle import (
     check_excess_crossing_decay,
     check_cell_bound,
     check_sn_minus_snstar_decay,
-    solution_ratio,
     walk_census,
 )
 from corrdiag.partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
+from corrdiag.volumes import lattice_count
 
 
 def test_k2_counts_exact():
@@ -104,25 +104,26 @@ def test_solution_count_closed_forms():
     half = {"1-3,2-5,4-6", "1-4,2-5,3-6", "1-4,2-6,3-5", "1-5,2-4,3-6"}
     for k, sizes in ((4, (3, 5, 12)), (6, (3, 4, 7))):
         for n in sizes:
-            census = walk_census(n, k)
             norm = n ** (k // 2 + 1)
             for p in enumerate_pair_partitions(k):
-                tally = census.tallies[p.canonical()]
+                solutions = lattice_count(p, n - 1)
                 if not is_crossing(p):
                     vol = Fraction(1)
                 elif p.canonical() in half:
                     vol = Fraction(1, 2)
                 else:
                     vol = Fraction(2, 3)
-                assert Fraction(tally.solutions, norm) == vol + (1 - vol) / (n * n)
-                assert solution_ratio(census, p) == tally.solutions / norm
+                assert Fraction(solutions, norm) == vol + (1 - vol) / (n * n)
+                # the ratio criterion 7 compares, int over int, is the closed form rounded once
+                assert solutions / norm == float(vol + (1 - vol) / (n * n))
 
 
 def test_solutions_include_every_opposed_walk():
+    # the census's opposed walks against the lattice count of all solutions
     for n, k in ((9, 4), (6, 6)):
         census = walk_census(n, k)
-        for tally in census.tallies.values():
-            assert tally.opposed <= tally.solutions
+        for p in enumerate_pair_partitions(k):
+            assert census.tallies[p.canonical()].opposed <= lattice_count(p, n - 1)
 
 
 def test_solution_minus_opposed_shrinks_at_k6():
@@ -132,8 +133,8 @@ def test_solution_minus_opposed_shrinks_at_k6():
     for p in enumerate_pair_partitions(6):
         gaps = []
         for n in grid:
-            tally = walk_census(n, 6).tallies[p.canonical()]
-            gaps.append((tally.solutions - tally.opposed) / n**4)
+            opposed = walk_census(n, 6).tallies[p.canonical()].opposed
+            gaps.append((lattice_count(p, n - 1) - opposed) / n**4)
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
@@ -335,12 +336,14 @@ def _brute_force_census(n, k):
 @pytest.mark.parametrize("n,k", [(5, 4), (3, 6), (2, 8), (1, 4), (4, 4), (4, 6), (6, 4), (2, 6), (3, 8),
                                  (1, 2), (2, 2), (2, 10), (1, 10)])
 def test_census_matches_brute_force(n, k):
+    # the walks that solve each cancellation system are not scanned by the
+    # census; they are checked here against the lattice count at t = n - 1
     expected, nonpair = _brute_force_census(n, k)
     census = walk_census(n, k)
     assert census.nonpair_walks == nonpair
     for p in enumerate_pair_partitions(k):
         tally, want = census.tallies[p.canonical()], expected[p.canonical()]
-        assert (tally.matched, tally.opposed, tally.solutions) == (
+        assert (tally.matched, tally.opposed, lattice_count(p, n - 1)) == (
             want["matched"], want["opposed"], want["solutions"])
         assert tally.shared_cells == dict(want["shared_cells"])
         assert tally.block_ties == {block: want["block_ties"][block] for block in p.blocks}
@@ -352,9 +355,7 @@ def test_census_identical_across_thread_counts(monkeypatch):
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("CORRDIAG_THREADS", threads)
-            census = walk_census.__wrapped__(n, k)
-            solutions = {key: tally.solutions for key, tally in census.tallies.items()}
-            results.append((census_report(census), solutions))
+            results.append(census_report(walk_census.__wrapped__(n, k)))
         assert results[0] == results[1]
 
 
@@ -448,7 +449,7 @@ def test_lookup_rejects_walks_with_k_half_bits_that_match_no_partition():
 
 # SHA-256 of the indented, key-sorted census_report JSON and of the
 # key-sorted {partition: solutions} JSON, recorded with the census that
-# scanned every p1 chunk
+# scanned every p1 chunk; the solutions are lattice_count(p, n - 1)
 PINNED_CENSUS = {
     (20, 4): ("9407ca5f5f32b21d6c59b2582f18f7e103eb801bb810b3ce1de6d16c5e3d3e6d",
               "b3e516734e2cb64d2db2e526f48d00ce8869630303c569af9d502ab18a9326e8"),
@@ -476,8 +477,8 @@ PINNED_INT64_CENSUS = {
 
 def _census_digests(census):
     report = json.dumps(census_report(census), indent=2, sort_keys=True)
-    solutions = json.dumps({key: t.solutions for key, t in sorted(census.tallies.items())},
-                           sort_keys=True)
+    solutions = json.dumps({p.canonical(): lattice_count(p, census.n - 1)
+                            for p in enumerate_pair_partitions(census.k)}, sort_keys=True)
     return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, solutions))
 
 

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrdiag.volumes as vol
-from corrdiag.oracle import walk_census
 from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
 from corrdiag.volumes import (
     VolumeCache,
@@ -23,6 +22,7 @@ from corrdiag.volumes import (
     _orbit_key,
     _rows_that_can_fail,
     exact_volume,
+    lattice_count,
     lattice_polynomial,
     solve_partition_system,
     toeplitz_volume,
@@ -232,15 +232,24 @@ def test_exact_volumes_frozen():
     assert exact_volume(PairPartition.from_string("1-4,2-5,3-6")) == Fraction(1, 2)
     assert exact_volume(PairPartition.from_string("1-2,3-4")) == 1
     # the polytope of 1-3,2-4 holds (t+1)(2t^2+4t+3)/3 lattice points of tP
-    assert lattice_polynomial(PairPartition.from_string("1-3,2-4")) == (
-        1, Fraction(7, 3), 2, Fraction(2, 3))
+    p = PairPartition.from_string("1-3,2-4")
+    assert lattice_polynomial(p) == (1, Fraction(7, 3), 2, Fraction(2, 3))
+    for t in range(8):
+        assert lattice_count(p, t) == (t + 1) * (2 * t * t + 4 * t + 3) // 3
+        assert type(lattice_count(p, t)) is int
+    # at t < 0 the polynomial gives a signed interior count, not a count of tP
+    with pytest.raises(ValueError, match="t >= 0"):
+        lattice_count(p, -1)
 
 
-@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (9, 6), (5, 8)])
-def test_lattice_count_at_n_minus_1_is_the_census_solution_count(n, k):
-    census = walk_census(n, k)
-    for p in _crossing(k):
-        assert _evaluate(lattice_polynomial(p), n - 1) == census.tallies[p.canonical()].solutions
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (9, 6), (8, 8), (6, 10)])
+def test_lattice_count_matches_a_direct_count_outside_the_fit_window(n, k):
+    # the fit reads no count above t = 4 at k <= 10, so at t = n - 1 the
+    # evaluated polynomial meets a count it was not built from, for the
+    # non-crossing partitions (no rows that can fail) too
+    for p in enumerate_pair_partitions(k):
+        rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
+        assert lattice_count(p, n - 1) == _lattice_counts(rows, [(n - 1, 0)])[0], p.canonical()
 
 
 def _brute_counts(full, sizes):
