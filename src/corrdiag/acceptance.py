@@ -419,4 +419,7 @@ def run_acceptance(
             check_grid(tuple(tol[key]))
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
+    for key in ("oracle_k4_n", "oracle_k6_n"):
+        if type(tol[key]) is not int or tol[key] < 1:
+            raise ValueError(f"{key}: a size must be an integer >= 1, got {tol[key]!r}")
     return [_CRITERIA[number](tol, seed, Path(out_dir)) for number in selected]

@@ -31,17 +31,31 @@ and the census finally credits rotation j with the counts of every t >= j
 through two tables: the rotated partition of each partition and the
 rotated ordinal of each of its blocks.
 
-The scanned walks are split by (p_2, ..., p_k) into slabs of at most
-`_SLAB` walks, so a census holds one slab per worker and its memory stays
-bounded whatever n is.  `_slab` builds a slab's sites, row 0 all zeros,
-and two bitmasks per walk with one bit per pair of steps: |d_i| = |d_j|
-and d_i = -d_j.  A partition's signature sets one bit per block, k/2 in
-all, and a walk's |step| mask equals at most one signature.  So one bit
-count keeps the walks whose mask has k/2 bits, one sorted lookup assigns
-each of those to its partition or to none, and `np.bincount` tallies every
-partition in that one pass.  Shared cells are worked out afterwards, for
-the opposed walks only.  The search for a walk below the cell bound scans
-the same slabs in order, reading each partition's walks off the rotations
+The scanned walks are split by (p_2, ..., p_k) into slabs.  A slab is a
+run of whole prefixes (p_2, ..., p_{k-m}) times the trailing block of the
+last m axes, m the most axes whose n^m walks fit `_SLAB`.  The block is
+built once per census: its sites, the bits of the step pairs among its m
+steps (the last returns to p_1 = 0), and its trailing runs and maxima.  A
+walk is matched only if each |d| appears exactly twice, so a block walk
+with some |step| three times, or with more |steps| seen once than the
+k - m steps outside the block, ends no matched walk and no slab holds it.
+A slab holds at most `_SLAB` kept walks, so a census holds one slab per
+worker and its memory stays bounded whatever n is.  The tally of all
+walks by t, which the non-pair count needs, is read off the block's
+(run, max) counts: a walk's trailing run reaches into its prefix only
+through a block of non-zero sites, and its span is the larger of the two
+maxima.  `_slab` lays out a slab's sites, row 0 all zeros, and two bitmasks
+per walk with one bit per pair of steps, |d_i| = |d_j| and d_i = -d_j,
+taking the block's pairs from the block and working out only the pairs
+with a step outside it.  A partition's signature sets one bit per block,
+k/2 in all, and a walk's |step| mask equals at most one signature.  So one
+bit count keeps the walks whose mask has k/2 bits, one sorted lookup
+assigns each of those to its partition or to none, and `np.bincount`
+tallies every partition in that one pass.  Shared cells are worked out
+afterwards, for the opposed walks only.  The search for a walk below the
+cell bound scans the same slabs in order, reading each partition's walks
+off the rotations that carry scanned walks to it, and returns the first
+walk it finds.
 that carry scanned walks to it, and returns the first walk it finds.
 """
 
@@ -59,8 +73,9 @@ from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerat
 
 COST_GUARD = 10**8
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
-# Walks of the (p_2, ..., p_k) grid per slab.  A census holds one slab per
-# worker, so its memory stays a few MiB at every n.  Narrower slabs lose time
+# Kept walks of the (p_2, ..., p_k) grid per slab, and the most walks of the
+# trailing block.  A census holds one slab per worker, so its memory stays a
+# few MiB at every n.  Narrower slabs lose time
 # to numpy's per-call overhead (2^14 ran the benchmark's censuses about 40%
 # slower); wider ones ran no faster and cost memory.
 _SLAB = 2**16
@@ -98,16 +113,25 @@ def _mask_dtype(k: int):
 def _census_bytes(n: int, k: int) -> int:
     """Peak bytes of one worker's census arrays, estimated from their shapes.
 
-    Each worker holds one slab of W = min(n^(k-1), _SLAB) walks from p_1 = 0
-    at a time.  With b = 4 or 8 bytes per bitmask, a slab being tallied
-    holds W(2k + 3 + 2b) bytes: its k x W int16 sites, its two bitmasks, an
-    int8 trailing run and an int16 weight.  (Building the slab takes at
-    most W(2k + 5 + b) more, for its transient k x W int16 steps and the
-    bytes the bits are gathered in, less than the lookup below.)  On top of
-    that comes the lookup and shared cells: at most W(2b + 56) when every
-    walk is a candidate (has k/2 |step| bits), as at k = 2, for the
-    candidates' masks, int64 indices, slots and keys, and their bincount
-    weights.
+    Each worker holds one slab of W <= min(n^(k-1), _SLAB) walks from
+    p_1 = 0 at a time.  With b = 4 or 8 bytes per bitmask, a slab being
+    tallied holds W(2k + 3 + 2b) bytes: its k x W int16 sites, its two
+    bitmasks, an int8 trailing run and an int16 weight.  (Building the slab
+    takes at most W(9 + b) more, for the bytes the bits are gathered in,
+    the junction step and the temporaries of one step pair, less than the
+    lookup below.)  On top of that comes the lookup and shared cells: at
+    most W(2b + 56) when every walk is a candidate (has k/2 |step| bits),
+    as at k = 2, for the candidates' masks, int64 indices, slots and keys,
+    and their bincount weights.  A slab's P <= min(n^(k-1-m), _SLAB)
+    prefixes take at most P(12k + 40): their int64 indices and digits, int16
+    sites and steps, and the translates of the block under each.
+
+    The census builds its trailing block of B = n^m <= _SLAB walks once:
+    at most B(10m + 30) bytes for its int16 sites, steps and |steps|, the
+    int8 tallies of equal |steps| and its runs and maxima, and 48(m + 1)n for
+    its (run, max) counts and their translates.  It keeps less than that
+    while the slabs are scanned, so its bytes are counted as if every
+    worker held them.
 
     A worker also keeps up to four sets of tallies (its running total, a
     slab's counts, and their sum over workers as float64 and int64), each
@@ -115,10 +139,13 @@ def _census_bytes(n: int, k: int) -> int:
     opposed, the shared-cell histogram and the block ties, by t, and all
     walks by t.
     """
-    width = min(n ** (k - 1), _SLAB)
+    m = _trailing_axes(n, k)
+    width, prefixes = min(n ** (k - 1), _SLAB), min(n ** (k - 1 - m), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
-    return width * (2 * k + 59 + 4 * b) + 32 * k * (parts * (pairs + k // 2 + 3) + 1)
+    return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
+            + n**m * (10 * m + 30) + 48 * (m + 1) * n
+            + 32 * k * (parts * (pairs + k // 2 + 3) + 1))
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -136,18 +163,19 @@ def _check_cost(n: int, k: int) -> None:
     check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=len(_slabs(n, k)))
 
 
-def _add_pairs(masks, pairs, steps) -> None:
-    """OR the bits of each (bit, i, j) in ``pairs`` into ``masks`` in place:
-    row 0 gets |d_i| = |d_j| and row 1 gets d_i = -d_j.  The bits of each
-    mask byte are gathered in uint8 first: setting a bit there costs a
-    quarter or less of setting it in int32 or int64 masks."""
+def _add_pairs(masks, pairs) -> None:
+    """OR the bits of each (bit, d_i, d_j) in ``pairs`` into ``masks`` in
+    place: row 0 gets |d_i| = |d_j| and row 1 gets d_i = -d_j.  The steps
+    need only broadcast to a row of ``masks``.  The bits of each mask byte
+    are gathered in uint8 first: setting a bit there costs a quarter or less
+    of setting it in int32 or int64 masks."""
     bits = np.empty(masks.shape, dtype=np.uint8)
     for byte, group in itertools.groupby(pairs, key=lambda pair: pair[0] // 8):
         bits[:] = 0
-        for bit, i, j in group:
-            reverse = steps[i] == -steps[j]
+        for bit, d_i, d_j in group:
+            reverse = d_i == -d_j
             weight = np.uint8(1 << bit % 8)
-            bits[0] |= ((steps[i] == steps[j]) | reverse).view(np.uint8) * weight
+            bits[0] |= ((d_i == d_j) | reverse).view(np.uint8) * weight
             bits[1] |= reverse.view(np.uint8) * weight
         for row in range(2):
             masks[row] |= np.left_shift(bits[row], 8 * byte, dtype=masks.dtype)
@@ -170,27 +198,115 @@ def _signatures(k: int):
     return ordered, np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
 
 
-def _slabs(n: int, k: int) -> list[tuple[int, int]]:
-    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid."""
-    width = n ** (k - 1)
-    return [(lo, min(lo + _SLAB, width)) for lo in range(0, width, _SLAB)]
+def _trailing_axes(n: int, k: int) -> int:
+    """m, the most trailing axes (p_{k-m+1}, ..., p_k) whose n^m walks fit
+    one slab; 0 when even n walks do not."""
+    m = 0
+    while m < k - 1 and n ** (m + 1) <= _SLAB:
+        m += 1
+    return m
 
 
-def _slab(n: int, k: int, lo: int, hi: int):
-    """Walks lo..hi-1 from p_1 = 0 of the flattened (p_2, ..., p_k) grid, in
-    the C order of ``np.indices((n,) * (k - 1))``: p_2 varies slowest, p_k
-    fastest.  Returns their sites, a (k, W) int16 array with one column per
-    walk and row 0 all zeros, and their bitmasks |d_i| = |d_j| and
-    d_i = -d_j, one row each."""
-    flat = np.arange(lo, hi, dtype=np.int32)  # n^(k-1) < 2^31 under COST_GUARD
-    rows = np.zeros((k, hi - lo), dtype=np.int16)
-    for axis in range(1, k):
-        rows[axis] = flat // n ** (k - 1 - axis) % n
-    del flat
-    steps = np.roll(rows, -1, axis=0) - rows  # closed: p_{k+1} = p_1
-    masks = np.zeros((2, hi - lo), dtype=_mask_dtype(k))
-    _add_pairs(masks, [(bit, i, j) for bit, (i, j) in enumerate(_pair_index(k))], steps)
-    return rows, masks
+def _slabs(n: int, k: int, kept: int | None = None) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid:
+    runs of whole prefixes (p_2, ..., p_{k-m}), as many as fit `_SLAB`
+    walks when each prefix brings the ``kept`` walks of the trailing block
+    (by default all n^m of them, which gives the most slabs)."""
+    block, width = n ** _trailing_axes(n, k), n ** (k - 1)
+    step = _SLAB // max(block if kept is None else kept, 1) * block
+    return [(lo, min(lo + step, width)) for lo in range(0, width, step)]
+
+
+@dataclass(eq=False)
+class _TrailingBlock:
+    """A census's trailing block: the walks of its last m axes.
+
+    ``sites`` (m, V) int16 holds the V block walks that some prefix can
+    complete to a matched walk, in C order; ``masks`` their bits of the
+    step pairs among the block's m steps d_{k-m}, ..., d_{k-1} (0-based;
+    the last returns to p_1 = 0); ``run`` and ``top`` their trailing runs
+    and maxima.  ``translates[r, u]`` counts the translates of all n^m block
+    walks with trailing run r when their prefix has max u."""
+
+    n: int
+    k: int
+    sites: np.ndarray
+    masks: np.ndarray
+    run: np.ndarray
+    top: np.ndarray
+    translates: np.ndarray
+
+
+def _trailing_block(n: int, k: int) -> _TrailingBlock:
+    """The trailing block of the (n, k) census, built once.  A walk is
+    matched only if each |d| value appears exactly twice, so a block walk
+    with some |step| three times, or with more |steps| seen once than the
+    k - m steps outside the block, is no matched walk's tail: it is left
+    out, and only ``translates`` still counts it."""
+    m = _trailing_axes(n, k)
+    grid = np.indices((n,) * m, dtype=np.int16).reshape(m, n**m)
+    run, top = _trailing_and_span(grid)
+    # under a prefix of max u, the counts[r, s] walks of run r and max s have
+    # n - max(u, s) translates each: sum those with s <= u, then those with s > u
+    counts = np.bincount(run.astype(np.intp) * n + top, minlength=(m + 1) * n).reshape(m + 1, n)
+    free = n - np.arange(n)
+    above = np.cumsum((counts * free)[:, :0:-1], axis=1)[:, ::-1]
+    translates = np.cumsum(counts, axis=1) * free
+    translates[:, :-1] += above
+    steps = np.diff(grid, axis=0, append=np.zeros((1, n**m), dtype=np.int16))
+    size = np.abs(steps)
+    seen = np.zeros((m, n**m), dtype=np.int8)  # the other block steps of the same |d|
+    for i, j in itertools.combinations(range(m), 2):
+        same = size[i] == size[j]
+        seen[i] += same
+        seen[j] += same
+    del size
+    viable = np.flatnonzero((seen.max(axis=0, initial=0) < 2) & ((seen == 0).sum(axis=0) <= k - m))
+    steps = steps[:, viable]
+    masks = np.zeros((2, len(viable)), dtype=_mask_dtype(k))
+    _add_pairs(masks, [(bit, steps[i + m - k], steps[j + m - k])
+                       for bit, (i, j) in enumerate(_pair_index(k)) if i >= k - m])
+    return _TrailingBlock(n, k, grid[:, viable], masks, run[viable], top[viable], translates)
+
+
+def _slab(tail: _TrailingBlock, lo: int, hi: int):
+    """Walks lo..hi-1 from p_1 = 0 of the flattened (p_2, ..., p_k) grid
+    that ``tail`` keeps, in the C order of ``np.indices((n,) * (k - 1))``:
+    p_2 varies slowest, p_k fastest.  [lo, hi) covers whole prefixes
+    (p_2, ..., p_{k-m}), each followed by every kept walk of the block.
+
+    Returns their sites, a (k, W) int16 array with one column per walk and
+    row 0 all zeros; their bitmasks |d_i| = |d_j| and d_i = -d_j, one row
+    each; their trailing runs t (int8) and spans s (int16); and ``every``,
+    all walks of [lo, hi), kept or not, weighted by n - s and keyed by t
+    (k,) in int64, read off the block's translates by (run, prefix max)."""
+    n, k, m = tail.n, tail.k, len(tail.sites)
+    head, width = k - 1 - m, tail.sites.shape[1]
+    first = np.arange(lo // n**m, hi // n**m)
+    prefix = np.array([first // n ** (head - 1 - axis) % n for axis in range(head)],
+                      dtype=np.int16).reshape(head, len(first))
+    run, top = _trailing_and_span(prefix)
+    # a walk's trailing run reaches into its prefix only through a block of non-zero sites
+    by_run = tail.translates[:, top]
+    every = np.zeros(k, dtype=np.int64)
+    every[:m] = by_run[:m].sum(axis=1)
+    np.add.at(every, m + run, by_run[m])
+    trailing = (np.multiply.outer(run, tail.run == m) + tail.run).reshape(-1)
+    span = np.maximum.outer(top, tail.top).reshape(-1)
+
+    rows = np.zeros((k, len(first), width), dtype=np.int16)
+    rows[1:head + 1] = prefix[:, :, None]
+    rows[head + 1:] = tail.sites[:, None, :]
+    masks = np.empty((2, len(first), width), dtype=tail.masks.dtype)
+    masks[:] = tail.masks[:, None, :]
+    # the pairs with a step outside the block, sites taken as (P, 1) prefixes by (1, V) block walks
+    zero = np.zeros((1, 1), dtype=np.int16)
+    positions = [zero, *prefix[:, :, None], *tail.sites[:, None, :], zero]
+    steps = [b - a for a, b in zip(positions, positions[1:])]
+    _add_pairs(masks, [(bit, steps[i], steps[j])
+                       for bit, (i, j) in enumerate(_pair_index(k)) if i < k - m])
+    walks = len(first) * width
+    return rows.reshape(k, walks), masks.reshape(2, walks), trailing, span, every
 
 
 def _shared_cells(rows: np.ndarray):
@@ -211,35 +327,40 @@ def _shared_cells(rows: np.ndarray):
 
 
 def _trailing_and_span(rows: np.ndarray):
-    """t(w), the length of the trailing run of non-zero sites (int8), and
-    the span max w (int16) of each walk of a slab, whose lowest site is
-    its p_1 = 0."""
+    """t, the length of the trailing run of non-zero sites (int8), and the
+    max (int16) of each column of ``rows``: walks from p_1 = 0, whose run
+    ends at p_1, or a census's prefixes or trailing block."""
     trailing = np.zeros(rows.shape[1], dtype=np.int8)
     alive = np.ones(rows.shape[1], dtype=bool)
-    for row in rows[:0:-1]:
+    for row in rows[::-1]:
         alive &= row != 0
         trailing += alive
-    return trailing, rows.max(axis=0)
+    return trailing, rows.max(axis=0, initial=0)
 
 
-def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
+def _weighted_counts(key: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount``'s float64 sums of ``weight`` by ``key``, float64 also
+    when a slab has no such walk (``np.bincount`` then returns int64)."""
+    return np.bincount(key, weights=weight, minlength=size).astype(np.float64, copy=False)
+
+
+def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray):
     """Counts of the walks of slab [lo, hi), each weighted by its n - s
     translates (s its span) and keyed by t, its trailing run: matched and
     opposed (P, k) with row r for the partition whose signature is
     ``signatures[r]`` (sorted), the shared-cell histogram (P, k, pairs + 1),
     the cell ties of each block (P, k, k/2), blocks in bit order, and all
-    the slab's walks (k,).  Each walk is visited once; shared cells are
-    worked out for the opposed walks only.
+    the slab's walks (k,), int64 from `_slab`.  Each kept walk is visited
+    once; shared cells are worked out for the opposed walks only.
 
-    ``np.bincount`` sums its weights in float64.  Every sum counts at most
-    n^k <= COST_GUARD < 2^53 walks, so each is an exact integer and is cast
-    back to int64 without loss."""
-    rows, (eq, neg) = _slab(n, k, lo, hi)
-    trailing, span = _trailing_and_span(rows)
+    ``np.bincount`` sums the other tallies' weights in float64.  Every sum
+    counts at most n^k <= COST_GUARD < 2^53 walks, so each is an exact
+    integer and is cast back to int64 without loss."""
+    n, k = tail.n, tail.k
+    rows, (eq, neg), trailing, span, every = _slab(tail, lo, hi)
     weight = n - span  # int16: n^2 <= COST_GUARD keeps n below 2^15
     del span
     parts, pairs, half = len(signatures), k * (k - 1) // 2, k // 2
-    every = np.bincount(trailing, weights=weight, minlength=k)
 
     # a signature sets one bit per block, k/2 in all: no other walk can match
     # (masks never set their sign bit, so counting the bits of |eq| is exact)
@@ -249,15 +370,14 @@ def _slab_tallies(n: int, k: int, lo: int, hi: int, signatures: np.ndarray):
     hit = signatures[slot] == eq
     walks, key, eq = walks[hit], slot[hit] * k + trailing[walks[hit]], eq[hit]
     neg = neg[walks]
-    matched = np.bincount(key, weights=weight[walks], minlength=parts * k)
+    matched = _weighted_counts(key, weight[walks], parts * k)
 
     hit = (neg & eq) == eq
     walks, key, eq = walks[hit], key[hit], eq[hit]
     cell, cell_count = _shared_cells(rows[:, walks])
     weight = weight[walks]
-    opposed = np.bincount(key, weights=weight, minlength=parts * k)
-    cells = np.bincount(key * (pairs + 1) + cell_count, weights=weight,
-                        minlength=parts * k * (pairs + 1))
+    opposed = _weighted_counts(key, weight, parts * k)
+    cells = _weighted_counts(key * (pairs + 1) + cell_count, weight, parts * k * (pairs + 1))
 
     # only block bits can tie: take each walk's blocks from its lowest bit up
     hit = (cell & eq) != 0
@@ -307,17 +427,18 @@ def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
     ordered, signatures = _signatures(k)
+    tail = _trailing_block(n, k)
 
     def tally(group):
         """Counts of the walks from p_1 = 0 in ``group``'s slabs, one slab held at a time."""
-        total = _slab_tallies(n, k, *group[0], signatures)
+        total = _slab_tallies(tail, *group[0], signatures)
         for bounds in group[1:]:
-            for held, counts in zip(total, _slab_tallies(n, k, *bounds, signatures)):
+            for held, counts in zip(total, _slab_tallies(tail, *bounds, signatures)):
                 held += counts
         return total
 
     # each worker sums its own slabs, so the tallies held stay one set per worker
-    slabs = _slabs(n, k)
+    slabs = _slabs(n, k, tail.sites.shape[1])
     count = workers(len(slabs))
     groups = [slabs[w::count] for w in range(count)]
     matched, opposed, cells, ties, every = (
@@ -375,9 +496,9 @@ def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
     slot_of = _rotations(k, signatures)[0]
     # rotation j sends the partition in slot sources[j] to p
     sources = np.argmax(slot_of == ordered.index(p.canonical()), axis=1)
-    for bounds in _slabs(n, k):
-        rows, (eq, neg) = _slab(n, k, *bounds)
-        trailing = _trailing_and_span(rows)[0]
+    tail = _trailing_block(n, k)
+    for bounds in _slabs(n, k, tail.sites.shape[1]):
+        rows, (eq, neg), trailing = _slab(tail, *bounds)[:3]
         hits = []
         for j, sig in enumerate(signatures[sources]):
             walks = np.flatnonzero((trailing >= j) & (eq == sig) & ((neg & sig) == sig))

@@ -380,12 +380,15 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("oracle", "--n", "5", "--k", "0"),
     ("oracle", "--n", "5", "--k", "3"),
     ("verify", "--criteria", "7", "--tolerances", '{"oracle_k4_n": 0}'),
+    ("verify", "--criteria", "7", "--tolerances", '{"oracle_k6_n": -3}'),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2 and out == "" and err.startswith("error:")
     assert not target.exists()
+    if "--tolerances" in argv:  # the message names the bad tolerance
+        assert all(key in err for key in json.loads(argv[argv.index("--tolerances") + 1]))
 
 
 def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys):

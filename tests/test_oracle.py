@@ -12,15 +12,18 @@ import pytest
 from corrdiag import oracle
 from corrdiag.cli import main
 from corrdiag.oracle import (
+    _add_pairs,
     _census_bytes,
     _check_cost,
     _find_low_cell_walk,
+    _mask_dtype,
     _pair_index,
     _rotations,
     _signatures,
     _slab,
     _slabs,
     _trailing_and_span,
+    _trailing_block,
     census_report,
     check_excess_crossing_decay,
     check_cell_bound,
@@ -50,11 +53,13 @@ def test_partition_sum_identity():
 
 def test_partition_sum_identity_fails_when_a_slab_is_skipped(monkeypatch):
     # the non-pair walks are counted as scanned, so a census that misses
-    # walks breaks the identity instead of absorbing them into nonpair_walks
+    # walks breaks the identity instead of absorbing them into nonpair_walks.
+    # (12, 6) has two slabs, p_2 < 6 and p_2 >= 6; the count is that of the
+    # non-pair walks from p_1 = 0 with p_2 < 6, each credited (1 + t)(n - s)
     slabs = oracle._slabs
-    monkeypatch.setattr(oracle, "_slabs", lambda n, k: slabs(n, k)[:-1])
+    monkeypatch.setattr(oracle, "_slabs", lambda *args: slabs(*args)[:-1])
     census = walk_census.__wrapped__(12, 6)  # bypass the cache of full censuses
-    assert census.nonpair_walks == 2_454_544
+    assert census.nonpair_walks == 1_584_705
     assert not census.partition_sum_identity()
 
 
@@ -387,7 +392,7 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
     # roll(w, j) for j = 0..t(w): each such rotation has its first 0 at index
     # j, and its |step|, reversal and cell-sharing pairs are w's pairs moved
     # by the rotation tables the census credits them through
-    rows = _slab(n, k, 0, n ** (k - 1))[0]
+    rows = _grid(n, k)
     pair_index = _pair_index(k)
     ordered, signatures = _signatures(k)
     slot_of, bit_of, block_of = _rotations(k, signatures)
@@ -417,14 +422,51 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (12, 2), (7, 4), (20, 4), (5, 6), (3, 8)])
-def test_rotations_and_translates_cover_every_walk(n, k):
+def test_rotations_and_translates_cover_every_walk(monkeypatch, n, k):
     # each scanned walk w stands for its 1 + t(w) rotations, each with
     # n - max(w) translates: together they are every walk on n sites once
-    covered = 0
-    for bounds in _slabs(n, k):
-        trailing, span = _trailing_and_span(_slab(n, k, *bounds)[0])
-        covered += int(((1 + trailing.astype(np.int64)) * (n - span)).sum())
-    assert covered == n**k
+    trailing, span = _trailing_and_span(_grid(n, k))
+    weight = (n - span).astype(np.int64)
+    assert int(((1 + trailing.astype(np.int64)) * weight).sum()) == n**k
+    # the slabs read this tally off the trailing block's (run, max) counts,
+    # with all k - 1 axes in the block and with one
+    direct = np.zeros(k, dtype=np.int64)
+    np.add.at(direct, trailing, weight)
+    for width in (oracle._SLAB, n + 1):
+        monkeypatch.setattr(oracle, "_SLAB", width)
+        tail = _trailing_block(n, k)
+        every = sum(_slab(tail, *bounds)[4] for bounds in _slabs(n, k, tail.sites.shape[1]))
+        assert every.dtype == np.int64 and every.tolist() == direct.tolist()
+        assert int(np.arange(1, k + 1) @ every) == n**k
+
+
+def _grid(n, k):
+    """Every walk from p_1 = 0 as a (k, n^(k-1)) column, in the census's C order."""
+    return np.concatenate([np.zeros((1, n ** (k - 1)), dtype=np.int16),
+                           np.indices((n,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)])
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (4, 6), (3, 8), (3, 10)])
+def test_trailing_block_keeps_every_walk_that_can_match(monkeypatch, n, k):
+    # brute force over the whole p_1 = 0 grid: a walk whose |step| pattern is
+    # a pair partition has a kept trailing block, for every number m of
+    # trailing axes, and the block's pair bits are the walk's own
+    rows = _grid(n, k)
+    walks = [tuple(column) for column in rows.T.tolist()]
+    profiles = [_walk_pairs(walk, k) for walk in walks]
+    patterns = {frozenset((a - 1, b - 1) for a, b in p.blocks) for p in enumerate_pair_partitions(k)}
+    matched = [w for w, (equal, _, _) in enumerate(profiles) if frozenset(equal) in patterns]
+    pair_index = _pair_index(k)
+    for m in range(k):
+        monkeypatch.setattr(oracle, "_SLAB", n**m)
+        tail = _trailing_block(n, k)
+        assert len(tail.sites) == m
+        kept = {tuple(column): c for c, column in enumerate(tail.sites.T.tolist())}
+        for w in matched:
+            c = kept[walks[w][k - m:]]
+            for row, pairs in zip(tail.masks[:, c].tolist(), profiles[w]):
+                assert row == sum(1 << b for b, (i, j) in enumerate(pair_index)
+                                  if i >= k - m and (i, j) in pairs)
 
 
 def test_every_signature_has_one_bit_per_block():
@@ -438,13 +480,22 @@ def test_every_signature_has_one_bit_per_block():
 
 def test_lookup_rejects_walks_with_k_half_bits_that_match_no_partition():
     # three equal |steps| set three bits at k=6 and are no pair partition, so
-    # the exact compare after the bit-count filter has walks to reject here
-    # (test_census_matches_brute_force checks the counts at this shape)
+    # the exact compare after the bit-count filter has walks to reject
+    # (test_census_matches_brute_force checks the counts at (4, 6)).  The
+    # trailing block drops them all at (4, 6), where it spans every axis, but
+    # not at (12, 6), where its 4 axes leave room for a third equal |step|
     signatures = set(_signatures(6)[1].tolist())
-    eq = _slab(4, 6, 0, 4**5)[1][0]
-    candidates = set(eq[np.bitwise_count(eq) == 3].tolist())
-    assert candidates & signatures
-    assert candidates - signatures
+    rows = _grid(4, 6)
+    positions = [*rows, rows[0]]
+    steps = [b - a for a, b in zip(positions, positions[1:])]
+    masks = np.zeros((2, rows.shape[1]), dtype=_mask_dtype(6))
+    _add_pairs(masks, [(bit, steps[i], steps[j]) for bit, (i, j) in enumerate(_pair_index(6))])
+    tail = _trailing_block(12, 6)
+    in_census = _slab(tail, *_slabs(12, 6, tail.sites.shape[1])[0])[1][0]
+    for eq in (masks[0], in_census):
+        candidates = set(eq[np.bitwise_count(eq) == 3].tolist())
+        assert candidates & signatures
+        assert candidates - signatures
 
 
 # SHA-256 of the indented, key-sorted census_report JSON and of the
@@ -491,16 +542,28 @@ def _low_cell_walks(n, k):
     return [_find_low_cell_walk(n, k, p, height(p) + 1) for p in enumerate_pair_partitions(k)]
 
 
-@pytest.mark.parametrize("width", [389, 4096, 5000])
+@pytest.mark.parametrize("width", [7, 389, 4096, 5000])
 def test_census_invariant_to_slab_width(monkeypatch, width):
     # 389 walks is less than one p_2 row (n^(k-2) >= 400 walks) of every pinned
-    # shape; 4096 divides some n^(k-1) exactly, 389 and 5000 divide none
+    # shape; 4096 divides some n^(k-1) exactly, 389 and 5000 divide none.  7
+    # is below n at (20, 4), whose trailing block then has no axis; only that
+    # shape runs at 7, where the other pinned shapes take thousands of slabs
     searches = {(n, k): _low_cell_walks(n, k) for n, k in ((6, 4), (5, 6))}
     monkeypatch.setattr(oracle, "_SLAB", width)
-    for (n, k), pinned in PINNED_CENSUS.items():
+    shapes = PINNED_CENSUS if width > 20 else {(20, 4): PINNED_CENSUS[(20, 4)]}
+    for (n, k), pinned in shapes.items():
         assert _census_digests(walk_census.__wrapped__(n, k)) == pinned
     for (n, k), walks in searches.items():
         assert _low_cell_walks(n, k) == walks
+
+
+def test_census_sums_slabs_that_hold_no_candidate(monkeypatch):
+    # at one walk per slab the first slab, the walk (0, 0, 0, 0), has no
+    # walk with k/2 |step| bits, and np.bincount gives int64 for no keys:
+    # the slabs' float64 tallies must still add up
+    expected = census_report(walk_census(3, 4))
+    monkeypatch.setattr(oracle, "_SLAB", 1)
+    assert census_report(walk_census.__wrapped__(3, 4)) == expected
 
 
 def test_census_peak_within_memory_estimate(monkeypatch):
