@@ -48,7 +48,6 @@ from .spectra import (
     trace_moment_direct,
 )
 from .volumes import (
-    VolumeCache,
     VolumeEstimate,
     exact_volume,
     solve_partition_system,
@@ -63,7 +62,6 @@ __all__ = [
     "toeplitz_volume",
     "exact_volume",
     "solve_partition_system",
-    "VolumeCache",
     "VolumeEstimate",
     "limiting_moment",
     "closed_form_moments",

@@ -243,7 +243,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
     )
-    z = _z(stats, 4, theory.value, theory.std_error)
+    z = _z(stats, 4, theory.value)
     ok &= abs(z) <= band
     details.append(
         f"toeplitz: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs {theory.value:.5f} "
@@ -284,7 +284,7 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
         tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
     )
-    z_hot = _z(stats, 4, theory.value, theory.std_error)
+    z_hot = _z(stats, 4, theory.value)
     ok &= abs(z_hot) <= band
 
     stats = run_ensemble(

@@ -16,14 +16,14 @@ from pathlib import Path
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .curie_weiss import limiting_correlation, pair_correlation, spontaneous_magnetization
-from .moments import DEFAULT_SAMPLES, closed_form_moments, limiting_moment
+from .moments import EXACT_MAX_K, closed_form_moments, limiting_moment
 from .oracle import census_report, check_cell_bound, walk_census
-from .partitions import MAX_GROUND_SET, PairPartition, enumerate_pair_partitions, height, is_crossing
+from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import (CurieWeiss, Equicorrelated, GeneratorSpec, Independent, Toeplitz,
-                      build_matrix, child_seed, validate_conditions)
+                      build_matrix, validate_conditions)
 from .spectra import (moment_comparison_rows, render, run_ensemble, write_histogram_csv,
                       write_lines, write_moment_csv)
-from .volumes import VolumeCache, toeplitz_volume
+from .volumes import DEFAULT_SAMPLES, toeplitz_volume
 
 
 def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -> list[str]:
@@ -63,27 +63,22 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 def cmd_volume(args: argparse.Namespace) -> int:
     p = PairPartition.from_string(args.partition)
+    e = toeplitz_volume(p, args.samples, args.seed)
     rows = [
         "# columns: partition samples seed value std_error exact",
-        VolumeCache.format_line(p.canonical(), toeplitz_volume(p, args.samples, args.seed)),
+        f"{p.canonical()} {e.samples} {e.seed} {e.value:.17g} {e.std_error:.17g} {int(e.exact)}",
     ]
     _write_lines(args.out, _header(args), rows)
     return 0
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    if args.k < 1 or args.k - args.k % 2 > MAX_GROUND_SET:  # odd orders vanish unenumerated
-        raise ValueError(f"--k must be >= 1 with no even order above the enumeration cap "
-                         f"{MAX_GROUND_SET}, got {args.k}")
-    cache = VolumeCache(args.cache)
+    if not 1 <= args.k <= EXACT_MAX_K:
+        raise ValueError(f"--k must be in 1..{EXACT_MAX_K}, got {args.k}")
     rows = ["k,c,value,std_error,form"]
     for k in range(1, args.k + 1):
         for c in args.c_values:
-            seed = child_seed(args.seed, k, 0) if args.seed else args.seed
-            m = limiting_moment(k, c, cache, args.samples, seed)
-            rows.append(f"{k},{c:g},{m.value:.12g},{m.std_error:.6g},all_partitions")
-    if args.cache is not None:
-        cache.save(args.cache, _header(args))
+            rows.append(f"{k},{c:g},{limiting_moment(k, c).value:.12g},0,all_partitions")
     _write_lines(args.out, _header(args), rows)
     return 0
 
@@ -180,10 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", dest="c_values", type=float, nargs="+", default=[0.0, 0.5, 1.0],
                    help="correlation values in [0, 1]")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo samples per crossing partition (>= 1); orders up "
-                        "to 10 are exact and do not use it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache", type=Path, default=None)
+                   help="ignored; every order is exact (ROADMAP item 1 removes it)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored; every order is exact (ROADMAP item 1 removes it)")
+    p.add_argument("--cache", type=Path, default=None,
+                   help="ignored and not written (ROADMAP item 1 removes it)")
     p.add_argument("--out", type=Path, default=None, help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_moments)
 

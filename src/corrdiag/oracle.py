@@ -56,7 +56,6 @@ afterwards, for the opposed walks only.  The search for a walk below the
 cell bound scans the same slabs in order, reading each partition's walks
 off the rotations that carry scanned walks to it, and returns the first
 walk it finds.
-that carry scanned walks to it, and returns the first walk it finds.
 """
 
 from __future__ import annotations
@@ -79,6 +78,9 @@ MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
 # to numpy's per-call overhead (2^14 ran the benchmark's censuses about 40%
 # slower); wider ones ran no faster and cost memory.
 _SLAB = 2**16
+# Bytes of the Python objects and array headers a census holds at any shape:
+# its peak at (n, k) = (1, 2), where the arrays hold a few bytes, is 10-16 KiB
+_CENSUS_OBJECTS = 2**15
 
 
 @dataclass(eq=False)
@@ -138,6 +140,13 @@ def _census_bytes(n: int, k: int) -> int:
     8k(P(pairs + k/2 + 3) + 1) bytes for P pair partitions: matched,
     opposed, the shared-cell histogram and the block ties, by t, and all
     walks by t.
+
+    The census lists its slabs' bounds: per slab a tuple and two ints
+    (64 + 64 bytes as allocated) and a slot in each of two lists, counted
+    as 160 bytes to cover the lists' slack.
+    The Python objects and array headers every census holds whatever its
+    shape add `_CENSUS_OBJECTS`.  Both are counted as if every worker held
+    them.
     """
     m = _trailing_axes(n, k)
     width, prefixes = min(n ** (k - 1), _SLAB), min(n ** (k - 1 - m), _SLAB)
@@ -145,7 +154,8 @@ def _census_bytes(n: int, k: int) -> int:
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
     return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
             + n**m * (10 * m + 30) + 48 * (m + 1) * n
-            + 32 * k * (parts * (pairs + k // 2 + 3) + 1))
+            + 32 * k * (parts * (pairs + k // 2 + 3) + 1)
+            + 160 * len(_slabs(n, k)) + _CENSUS_OBJECTS)
 
 
 def _check_cost(n: int, k: int) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import corrdiag
-from corrdiag import acceptance, moments
+from corrdiag import acceptance
 from corrdiag.cli import main
 
 
@@ -26,7 +26,6 @@ def run_cli(capsys, *argv):
 PINNED_OUTPUTS = {
     ("moments", "--k", "6", "--c", "0", "0.5", "1", "--samples", "4000", "--seed", "1",
      "--cache", "volumes.txt", "--out", "moments.csv"): {
-        "volumes.txt": "3d7583c725a8030fd77d08c33ed60a45663347ad0cab53ec192837d5e15c4336",
         "moments.csv": "c16076984325261b08a17ee14059478a4ff67562fddce40a4de2c8d7760775ec",
         "stdout": "e2eccc155adb86c32e33714118aa510c0539f05e155b02ec1d054960d58eaf72",
     },
@@ -135,29 +134,18 @@ def test_moments_table_format(capsys):
     assert table[("3", "0")][2] == "0"
 
 
-# data rows of `moments --k 6 --c 0.5 1 --samples 4000` at each seed on the Monte
-# Carlo branch (EXACT_MAX_K lowered to 0); seed 0 passes through unchanged, any
-# other seed is first mapped to child_seed(seed, k, 0)
-MOMENT_ROWS = {
-    1: ["4,0.5,2.1654375,0.00187015", "4,1,2.66175,0.00748059",
-        "6,0.5,6.25765625,0.00495769", "6,1,11.03125,0.0240984"],
-    0: ["4,0.5,2.1639375,0.00187809", "4,1,2.65575,0.00751236",
-        "6,0.5,6.24840625,0.00497453", "6,1,10.98875,0.024154"],
-}
-
-
-@pytest.mark.parametrize("seed", sorted(MOMENT_ROWS))
-def test_moments_rows_pinned(capsys, monkeypatch, seed):
-    monkeypatch.setattr(moments, "EXACT_MAX_K", 0)
-    code, out, _ = run_cli(capsys, "moments", "--k", "6", "--c", "0.5", "1",
-                           "--samples", "4000", "--seed", str(seed))
-    assert code == 0
+# --samples, --seed and --cache are inert: every seed gives the exact rows
+@pytest.mark.parametrize("seed", [0, 1])
+def test_moments_rows_pinned(tmp_path, capsys, seed):
+    cache = tmp_path / "volumes.txt"
+    code, out, _ = run_cli(capsys, "moments", "--k", "6", "--c", "0.5", "1", "--samples",
+                           "4000", "--seed", str(seed), "--cache", str(cache))
+    assert code == 0 and not cache.exists()
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    exact = {1: "0,0", 2: "1,0", 3: "0,0", 5: "0,0"}
-    sampled = iter(MOMENT_ROWS[seed])
-    rows = [f"{k},{c},{exact[k]}" if k in exact else next(sampled)
-            for k in range(1, 7) for c in ("0.5", "1")]
-    assert lines == ["k,c,value,std_error,form"] + [f"{row},all_partitions" for row in rows]
+    assert lines[1:] == [f"{row},0,all_partitions" for row in (
+        "1,0.5,0", "1,1,0", "2,0.5,1", "2,1,1", "3,0.5,0", "3,1,0",
+        "4,0.5,2.16666666667", "4,1,2.66666666667", "5,0.5,0", "5,1,0",
+        "6,0.5,6.25", "6,1,11")]
 
 
 def test_exact_moment_rows(capsys):
@@ -171,14 +159,6 @@ def test_exact_moment_rows(capsys):
         "6,0.5,6.25", "6,1,11", "7,0.5,0", "7,1,0",
         "8,0.5,21.4083333333", "8,1,60.5333333333", "9,0.5,0", "9,1,0",
         "10,0.5,83.3715277778", "10,1,415")]
-
-
-def test_moments_creates_cache_directory(tmp_path, capsys):
-    cache = tmp_path / "new" / "moments.txt"
-    out = tmp_path / "moments.csv"
-    code, _, _ = run_cli(capsys, "moments", "--k", "4", "--c", "1", "--samples", "2000",
-                         "--seed", "1", "--cache", str(cache), "--out", str(out))
-    assert code == 0 and cache.exists() and out.exists()
 
 
 def test_curie_weiss_command(capsys):
@@ -381,6 +361,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("oracle", "--n", "5", "--k", "3"),
     ("verify", "--criteria", "7", "--tolerances", '{"oracle_k4_n": 0}'),
     ("verify", "--criteria", "7", "--tolerances", '{"oracle_k6_n": -3}'),
+    ("moments", "--k", "16"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

@@ -1,9 +1,5 @@
-"""Limiting moments of the interpolating spectral law.
-
-Orders up to EXACT_MAX_K are exact.  Tests that take the ``monte_carlo``
-fixture lower EXACT_MAX_K so that every order runs the Monte Carlo branch
-used above it.
-"""
+"""Limiting moments of the interpolating spectral law: exact at every order
+up to EXACT_MAX_K."""
 
 import math
 from fractions import Fraction
@@ -14,7 +10,6 @@ from hypothesis import given, strategies as st
 from corrdiag import moments
 from corrdiag.cli import main
 from corrdiag.moments import (
-    DEFAULT_SAMPLES,
     EXACT_MAX_K,
     MomentValue,
     catalan,
@@ -22,26 +17,28 @@ from corrdiag.moments import (
     exact_moment_polynomial,
     limiting_moment,
 )
+from corrdiag.partitions import PairPartition
 from corrdiag.sampler import Equicorrelated
-from corrdiag.volumes import VolumeCache
+from corrdiag.volumes import DEFAULT_SAMPLES, toeplitz_volume
 
 # sixth moment at full correlation, frozen from the exact per-partition table:
 # five volume-one terms + six weight-one terms of volume 2/3 + four of volume 1/2
 M6_FULL_CORRELATION = 11.0
 M4_FULL_CORRELATION = 8.0 / 3.0
 
-# m4 ... m10 as polynomials in c, constant first, from the exact volumes
+# m4 ... m12 as polynomials in c, constant first, from the exact volumes
 EXACT_POLYNOMIALS = {
     4: (2, 0, Fraction(2, 3)),
     6: (5, 0, 4, 2),
     8: (14, 0, Fraction(56, 3), 16, Fraction(178, 15)),
     10: (42, 0, 80, 90, Fraction(1088, 9), Fraction(739, 9)),
+    12: (132, 0, 330, 440, Fraction(12188, 15), Fraction(3004, 3), Fraction(72434, 105)),
 }
-
-
-@pytest.fixture
-def monte_carlo(monkeypatch):
-    monkeypatch.setattr(moments, "EXACT_MAX_K", 0)
+# m14 takes about 2.5 minutes to fit, too long for these tests: recorded from
+# one run of exact_moment_polynomial(14), in which every orbit's two
+# confirming counts passed
+M14 = (429, 0, Fraction(4004, 3), 2002, Fraction(68432, 15), Fraction(69433, 9),
+       Fraction(440848, 45), Fraction(67327, 10))
 
 
 def test_catalan_small_values():
@@ -50,74 +47,49 @@ def test_catalan_small_values():
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_second_moment_is_one_for_all_c(c):
-    m = limiting_moment(2, c, VolumeCache(), samples=10, seed=0)
-    assert m.value == 1.0 and m.std_error == 0.0
+    assert limiting_moment(2, c).value == 1.0
 
 
 def test_odd_moments_vanish():
-    cache = VolumeCache()
     for k in (1, 3, 5, 7, 9, 11):
-        assert limiting_moment(k, 0.7, cache, samples=10, seed=0).value == 0.0
+        assert limiting_moment(k, 0.7).value == 0.0
 
 
 def test_uncorrelated_moments_are_catalan():
-    cache = VolumeCache()
     for k in range(2, 13, 2):
-        m = limiting_moment(k, 0.0, cache, samples=10, seed=0)
-        assert m.value == float(catalan(k // 2))
-        assert m.std_error == 0.0
+        assert limiting_moment(k, 0.0).value == float(catalan(k // 2))
 
 
-def test_fourth_moment_closed_form(monte_carlo):
-    cache = VolumeCache()
-    for c in (0.25, 0.5, 0.75, 1.0):
-        m = limiting_moment(4, c, cache, samples=400_000, seed=5)
-        target = 2.0 + (2.0 / 3.0) * c * c
-        assert abs(m.value - target) < 4 * m.std_error
-        assert m.std_error > 0
+def test_sixth_moment_full_correlation():
+    assert limiting_moment(6, 1.0).value == M6_FULL_CORRELATION
 
 
-def test_fourth_moment_error_propagation(monte_carlo):
-    cache = VolumeCache()
-    m_half = limiting_moment(4, 0.5, cache, samples=400_000, seed=5)
-    m_full = limiting_moment(4, 1.0, cache, samples=400_000, seed=5)
-    # single crossing partition: SE scales exactly with the weight c^2
-    assert m_half.std_error == pytest.approx(0.25 * m_full.std_error, rel=1e-12)
+def test_fourth_moment_full_correlation():
+    assert limiting_moment(4, 1.0).value == M4_FULL_CORRELATION
 
 
-def test_sixth_moment_full_correlation(monte_carlo):
-    cache = VolumeCache()
-    m = limiting_moment(6, 1.0, cache, samples=400_000, seed=5)
-    assert abs(m.value - M6_FULL_CORRELATION) < 5 * m.std_error
-
-
-def test_fourth_moment_full_correlation(monte_carlo):
-    cache = VolumeCache()
-    m = limiting_moment(4, 1.0, cache, samples=400_000, seed=5)
-    assert abs(m.value - M4_FULL_CORRELATION) < 4 * m.std_error
-
-
-def test_moments_increase_with_correlation(monte_carlo):
-    cache = VolumeCache()
-    values = [
-        limiting_moment(6, c, cache, samples=200_000, seed=3).value
-        for c in (0.0, 0.25, 0.5, 0.75, 1.0)
-    ]
-    assert values == sorted(values)
+def test_moments_increase_with_correlation(monkeypatch):
+    fitted = moments.exact_moment_polynomial
+    # order 14 evaluates the recorded m14 rather than fitting it again
+    monkeypatch.setattr(moments, "exact_moment_polynomial",
+                        lambda k: tuple(map(Fraction, M14)) if k == 14 else fitted(k))
+    for k in range(4, EXACT_MAX_K + 1, 2):
+        values = [limiting_moment(k, c).value for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        assert values == sorted(set(values)), k
 
 
 def test_exact_moment_polynomials_pinned():
-    assert EXACT_MAX_K == 10
+    assert EXACT_MAX_K == 14
     for k, coefficients in EXACT_POLYNOMIALS.items():
         assert exact_moment_polynomial(k) == tuple(map(Fraction, coefficients))
 
 
 def test_exact_moments_round_once_with_zero_error():
-    for k in range(2, EXACT_MAX_K + 1, 2):
+    # the moments CSV writes standard error 0 for every row
+    for k in (2, *EXACT_POLYNOMIALS):
         for c in (0.0, 0.1, 0.25, 0.5, 1 / 3, 0.9168, 1.0):
             exact = sum(a * Fraction(c) ** j for j, a in enumerate(exact_moment_polynomial(k)))
-            m = limiting_moment(k, c, samples=10, seed=0)
-            assert m.value == float(exact) and m.std_error == 0.0, (k, c)
+            assert limiting_moment(k, c).value == float(exact), (k, c)
     assert limiting_moment(10, 1.0).value == 415.0
 
 
@@ -127,49 +99,39 @@ def test_exact_fourth_moment_within_one_ulp_of_closed_form():
         assert abs(limiting_moment(4, c).value - target) <= math.ulp(target)
 
 
-def test_exact_moments_ignore_the_sample_budget_and_seed():
-    cache = VolumeCache()
-    first = limiting_moment(8, 0.5, cache, samples=10, seed=1)
-    assert limiting_moment(8, 0.5, cache, samples=400_000, seed=7) == first
-    assert cache._entries == {}
-
-
-def test_monte_carlo_moments_agree_with_exact(monkeypatch):
-    exact = [limiting_moment(k, c) for k in (4, 6) for c in (0.5, 1.0)]
-    monkeypatch.setattr(moments, "EXACT_MAX_K", 0)
-    cache = VolumeCache()
-    for m in exact:
-        sampled = limiting_moment(m.k, m.c, cache, samples=100_000, seed=5)
-        assert abs(sampled.value - m.value) < 4 * sampled.std_error, m
-
-
 def test_nonpositive_sample_budget_rejected(capsys):
-    # rejected before any partition is visited, so even exact orders
-    # (k=2, c=0, odd k) refuse a budget that toeplitz_volume would refuse
+    # only Monte Carlo volumes take a sample budget
     for samples in (0, -5):
-        for k, c in ((2, 0.5), (4, 0.0), (3, 0.5)):
-            with pytest.raises(ValueError, match="samples"):
-                limiting_moment(k, c, VolumeCache(), samples=samples, seed=0)
-    assert main(["moments", "--k", "2", "--samples", "0"]) == 2
+        with pytest.raises(ValueError, match="samples"):
+            toeplitz_volume(PairPartition.from_string("1-3,2-4"), samples, 0)
+    assert main(["volume", "1-3,2-4", "--samples", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_even_orders_above_the_exact_range_rejected(capsys):
+    with pytest.raises(ValueError, match="exact range"):
+        limiting_moment(16, 0.5)
+    assert limiting_moment(17, 0.5).value == 0.0
+    assert main(["moments", "--k", "16"]) == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_out_of_range_correlation_warns():
     with pytest.warns(UserWarning):
-        limiting_moment(4, 1.5, VolumeCache(), samples=1000, seed=0)
+        limiting_moment(4, 1.5)
 
 
 def test_non_finite_correlation_rejected(capsys):
     for c in (math.nan, math.inf):
         for k in (3, 4, 12):
             with pytest.raises(ValueError, match="finite"):
-                limiting_moment(k, c, samples=10)
+                limiting_moment(k, c)
     assert main(["moments", "--k", "4", "--c", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
 
 
 def test_moment_value_is_frozen():
-    m = MomentValue(4, 0.5, 2.1, 0.001)
+    m = MomentValue(4, 0.5, 2.1)
     with pytest.raises(AttributeError):
         m.value = 3.0
 

@@ -568,9 +568,13 @@ def test_census_sums_slabs_that_hold_no_candidate(monkeypatch):
 
 def test_census_peak_within_memory_estimate(monkeypatch):
     # the benchmark's censuses and the largest one the tests run: one slab at a
-    # time keeps each at a few MiB, whatever n is
+    # time keeps each at a few MiB, whatever n is; (12, 2) holds little more
+    # than the census's fixed objects, and (16, 6) at 389-walk slabs lists
+    # the bounds of 4096 slabs
     monkeypatch.setenv("CORRDIAG_THREADS", "1")
-    for n, k in ((60, 4), (12, 6), (6, 8), (18, 6)):
+    for n, k, slab in ((60, 4, oracle._SLAB), (12, 6, oracle._SLAB), (6, 8, oracle._SLAB),
+                       (18, 6, oracle._SLAB), (12, 2, oracle._SLAB), (16, 6, 389)):
+        monkeypatch.setattr(oracle, "_SLAB", slab)
         tracemalloc.start()
         try:
             walk_census.__wrapped__(n, k)

@@ -1,7 +1,6 @@
 """Cube-section volumes: linear systems, Monte Carlo estimates, exact lattice
-counts, cache."""
+counts."""
 
-import dataclasses
 import itertools
 import re
 from collections import defaultdict
@@ -12,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrdiag.volumes as vol
+from corrdiag.cli import main
 from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
 from corrdiag.volumes import (
-    VolumeCache,
-    VolumeEstimate,
     _chunk_hits,
     _fit_polynomial,
     _lattice_counts,
@@ -362,39 +360,30 @@ def test_monte_carlo_volumes_agree_with_exact():
         assert abs(est.value - float(exact_volume(p))) < 4 * est.std_error, p.canonical()
 
 
-def test_cache_roundtrip(tmp_path):
-    cache = VolumeCache()
-    p = PairPartition.from_string("1-3,2-4")
-    est = cache.ensure(p, 50_000, 9)
-    path = tmp_path / "volumes.txt"
-    cache.save(path, ("corrdiag test", "config: none"))
-    text = path.read_text()
-    assert text.startswith("# corrdiag test")
-
-    # matching (samples, seed) serves the stored record: hand-edit its value
-    # and the reloaded cache must return the edit, not a recomputation
-    edited = dataclasses.replace(est, value=0.5)
-    key = p.canonical()
-    path.write_text(text.replace(VolumeCache.format_line(key, est),
-                                 VolumeCache.format_line(key, edited)))
-    reloaded = VolumeCache(path)
-    assert reloaded.ensure(p, 50_000, 9) == edited
-    # ... anything else recomputes rather than serving a stale record
-    fresh = reloaded.ensure(p, 50_000, 8)
-    assert fresh.seed == 8 and fresh != est
+# a fixed sample of k = 14 orbits, drawn once as random pairings; m14's full
+# fit (5256 orbits) takes about 2.5 minutes, these about half a second
+K14_SAMPLE = (
+    "1-8,2-10,3-7,4-9,5-6,11-12,13-14", "1-4,2-12,3-6,5-8,7-11,9-14,10-13",
+    "1-6,2-4,3-9,5-14,7-8,10-13,11-12", "1-6,2-11,3-14,4-5,7-12,8-10,9-13",
+    "1-6,2-10,3-7,4-5,8-12,9-11,13-14", "1-9,2-14,3-8,4-6,5-13,7-10,11-12",
+    "1-10,2-5,3-11,4-6,7-8,9-14,12-13", "1-6,2-14,3-12,4-7,5-8,9-11,10-13",
+    "1-12,2-10,3-8,4-9,5-11,6-14,7-13", "1-11,2-5,3-6,4-10,7-14,8-9,12-13",
+    "1-2,3-11,4-7,5-13,6-12,8-14,9-10", "1-12,2-13,3-5,4-10,6-11,7-8,9-14",
+)
 
 
-def test_cache_ensure_reuses_without_resampling(tmp_path):
-    cache = VolumeCache()
-    p = PairPartition.from_string("1-3,2-4")
-    first = cache.ensure(p, 10_000, 4)
-    second = cache.ensure(p, 10_000, 4)
-    assert first is second
+def test_k14_exact_volumes_agree_with_monte_carlo():
+    for index, canonical in enumerate(K14_SAMPLE):
+        p = PairPartition.from_string(canonical)
+        est = toeplitz_volume(p, 200_000, index)
+        assert abs(est.value - float(exact_volume(p))) < 4 * est.std_error, canonical
 
 
-def test_format_line_roundtrips_17g():
-    est = VolumeEstimate(2.0 / 3.0 + 1e-13, 0.000471, 10**6, 42, False)
-    line = VolumeCache.format_line("1-3,2-4", est)
-    key, back = VolumeCache.parse_line(line)
-    assert key == "1-3,2-4"
-    assert back == est
+def test_format_line_roundtrips_17g(capsys):
+    # `corrdiag volume` prints the estimate's floats to 17 digits: they read back exactly
+    assert main(["volume", "1-3,2-4", "--samples", "10000", "--seed", "42"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    key, samples, seed, value, std_error, exact = line.split()
+    est = toeplitz_volume(PairPartition.from_string("1-3,2-4"), 10_000, 42)
+    assert (key, int(samples), int(seed), bool(int(exact))) == ("1-3,2-4", 10_000, 42, False)
+    assert (float(value), float(std_error)) == (est.value, est.std_error)
