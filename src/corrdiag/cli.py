@@ -23,7 +23,7 @@ from .sampler import (CurieWeiss, Equicorrelated, GeneratorSpec, Independent, To
                       build_matrix, validate_conditions)
 from .spectra import (moment_comparison_rows, render, run_ensemble, write_histogram_csv,
                       write_lines, write_moment_csv)
-from .volumes import DEFAULT_SAMPLES, toeplitz_volume
+from .volumes import DEFAULT_SAMPLES, VolumeCache, toeplitz_volume
 
 
 def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -> list[str]:
@@ -63,10 +63,9 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 def cmd_volume(args: argparse.Namespace) -> int:
     p = PairPartition.from_string(args.partition)
-    e = toeplitz_volume(p, args.samples, args.seed)
     rows = [
         "# columns: partition samples seed value std_error exact",
-        f"{p.canonical()} {e.samples} {e.seed} {e.value:.17g} {e.std_error:.17g} {int(e.exact)}",
+        VolumeCache.format_line(p.canonical(), toeplitz_volume(p, args.samples, args.seed)),
     ]
     _write_lines(args.out, _header(args), rows)
     return 0

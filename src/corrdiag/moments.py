@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import enumerate_pair_partitions, height
+from .partitions import is_crossing  # noqa: F401  perfbench/tracer.py wraps it here
 from .sampler import Equicorrelated, GeneratorSpec, Independent
 from .volumes import exact_volume
 

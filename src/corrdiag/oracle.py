@@ -155,7 +155,7 @@ def _census_bytes(n: int, k: int) -> int:
     return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
             + n**m * (10 * m + 30) + 48 * (m + 1) * n
             + 32 * k * (parts * (pairs + k // 2 + 3) + 1)
-            + 160 * len(_slabs(n, k)) + _CENSUS_OBJECTS)
+            + 160 * _slab_count(n, k) + _CENSUS_OBJECTS)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -170,7 +170,7 @@ def _check_cost(n: int, k: int) -> None:
     pairs = k * (k - 1) // 2
     if pairs > MASK_BITS:
         raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
-    check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=len(_slabs(n, k)))
+    check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=_slab_count(n, k))
 
 
 def _add_pairs(masks, pairs) -> None:
@@ -217,14 +217,24 @@ def _trailing_axes(n: int, k: int) -> int:
     return m
 
 
+def _slab_step(n: int, k: int, kept: int | None = None) -> int:
+    """Walks of the flattened (p_2, ..., p_k) grid per slab: as many whole
+    prefixes (p_2, ..., p_{k-m}) as fit `_SLAB` walks when each prefix
+    brings the ``kept`` walks of the trailing block (by default all n^m of
+    them, which gives the most slabs)."""
+    block = n ** _trailing_axes(n, k)
+    return _SLAB // max(block if kept is None else kept, 1) * block
+
+
 def _slabs(n: int, k: int, kept: int | None = None) -> list[tuple[int, int]]:
-    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid:
-    runs of whole prefixes (p_2, ..., p_{k-m}), as many as fit `_SLAB`
-    walks when each prefix brings the ``kept`` walks of the trailing block
-    (by default all n^m of them, which gives the most slabs)."""
-    block, width = n ** _trailing_axes(n, k), n ** (k - 1)
-    step = _SLAB // max(block if kept is None else kept, 1) * block
+    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid."""
+    width, step = n ** (k - 1), _slab_step(n, k, kept)
     return [(lo, min(lo + step, width)) for lo in range(0, width, step)]
+
+
+def _slab_count(n: int, k: int) -> int:
+    """len(_slabs(n, k)), without listing them."""
+    return -(-n ** (k - 1) // _slab_step(n, k))
 
 
 @dataclass(eq=False)

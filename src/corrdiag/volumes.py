@@ -50,11 +50,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from ._parallel import check_memory, parallel_map
 from .partitions import PairPartition, is_crossing
+from .spectra import write_lines
 
 DEFAULT_SAMPLES = 200_000  # Monte Carlo points per `toeplitz_volume` by default
 # Chunk length for Monte Carlo; a multiple of 4 keeps every chunk start
@@ -337,3 +339,53 @@ def exact_volume(p: PairPartition) -> Fraction:
         return Fraction(1)
     return _orbit_polynomial(_orbit_key(p))[-1]
 
+
+class VolumeCache:
+    """Text-backed store of volume estimates keyed by canonical partition.
+
+    One record per line: canonical partition, samples, seed, value,
+    std_error, exact flag (0/1), whitespace-separated.  Lines starting with
+    '#' are headers and are skipped on load.  `corrdiag volume` prints its
+    estimate as one such record.  Limiting moments no longer use the cache;
+    ``ensure``, ``load`` and ``save`` stay while perfbench/tracer.py wraps
+    them (ROADMAP item 1).
+    """
+
+    def __init__(self, path: str | Path | None = None):
+        self._entries: dict[str, VolumeEstimate] = {}
+        if path is not None and Path(path).exists():
+            self.load(path)
+
+    def ensure(self, p: PairPartition, samples: int, seed: int) -> VolumeEstimate:
+        """Cached estimate if it was produced by the same (samples, seed) run,
+        otherwise compute and store a fresh one."""
+        key = p.canonical()
+        hit = self._entries.get(key)
+        if hit is not None and hit.samples == samples and hit.seed == seed:
+            return hit
+        estimate = toeplitz_volume(p, samples, seed)
+        self._entries[key] = estimate
+        return estimate
+
+    @staticmethod
+    def format_line(key: str, e: VolumeEstimate) -> str:
+        return f"{key} {e.samples} {e.seed} {e.value:.17g} {e.std_error:.17g} {int(e.exact)}"
+
+    @staticmethod
+    def parse_line(line: str) -> tuple[str, VolumeEstimate]:
+        key, samples, seed, value, std_error, exact = line.split()
+        return key, VolumeEstimate(
+            float(value), float(std_error), int(samples), int(seed), bool(int(exact))
+        )
+
+    def load(self, path: str | Path) -> None:
+        for line in Path(path).read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, estimate = self.parse_line(line)
+            self._entries[key] = estimate
+
+    def save(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> Path:
+        rows = [self.format_line(k, e) for k, e in sorted(self._entries.items())]
+        return write_lines(path, header_lines, rows)

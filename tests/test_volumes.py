@@ -1,6 +1,7 @@
 """Cube-section volumes: linear systems, Monte Carlo estimates, exact lattice
-counts."""
+counts, cache."""
 
+import dataclasses
 import itertools
 import re
 from collections import defaultdict
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrdiag.volumes as vol
-from corrdiag.cli import main
 from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
 from corrdiag.volumes import (
+    VolumeCache,
+    VolumeEstimate,
     _chunk_hits,
     _fit_polynomial,
     _lattice_counts,
@@ -360,6 +362,36 @@ def test_monte_carlo_volumes_agree_with_exact():
         assert abs(est.value - float(exact_volume(p))) < 4 * est.std_error, p.canonical()
 
 
+def test_cache_roundtrip(tmp_path):
+    cache = VolumeCache()
+    p = PairPartition.from_string("1-3,2-4")
+    est = cache.ensure(p, 50_000, 9)
+    path = tmp_path / "volumes.txt"
+    cache.save(path, ("corrdiag test", "config: none"))
+    text = path.read_text()
+    assert text.startswith("# corrdiag test")
+
+    # matching (samples, seed) serves the stored record: hand-edit its value
+    # and the reloaded cache must return the edit, not a recomputation
+    edited = dataclasses.replace(est, value=0.5)
+    key = p.canonical()
+    path.write_text(text.replace(VolumeCache.format_line(key, est),
+                                 VolumeCache.format_line(key, edited)))
+    reloaded = VolumeCache(path)
+    assert reloaded.ensure(p, 50_000, 9) == edited
+    # ... anything else recomputes rather than serving a stale record
+    fresh = reloaded.ensure(p, 50_000, 8)
+    assert fresh.seed == 8 and fresh != est
+
+
+def test_cache_ensure_reuses_without_resampling(tmp_path):
+    cache = VolumeCache()
+    p = PairPartition.from_string("1-3,2-4")
+    first = cache.ensure(p, 10_000, 4)
+    second = cache.ensure(p, 10_000, 4)
+    assert first is second
+
+
 # a fixed sample of k = 14 orbits, drawn once as random pairings; m14's full
 # fit (5256 orbits) takes about 2.5 minutes, these about half a second
 K14_SAMPLE = (
@@ -379,11 +411,9 @@ def test_k14_exact_volumes_agree_with_monte_carlo():
         assert abs(est.value - float(exact_volume(p))) < 4 * est.std_error, canonical
 
 
-def test_format_line_roundtrips_17g(capsys):
-    # `corrdiag volume` prints the estimate's floats to 17 digits: they read back exactly
-    assert main(["volume", "1-3,2-4", "--samples", "10000", "--seed", "42"]) == 0
-    line = capsys.readouterr().out.splitlines()[-1]
-    key, samples, seed, value, std_error, exact = line.split()
-    est = toeplitz_volume(PairPartition.from_string("1-3,2-4"), 10_000, 42)
-    assert (key, int(samples), int(seed), bool(int(exact))) == ("1-3,2-4", 10_000, 42, False)
-    assert (float(value), float(std_error)) == (est.value, est.std_error)
+def test_format_line_roundtrips_17g():
+    est = VolumeEstimate(2.0 / 3.0 + 1e-13, 0.000471, 10**6, 42, False)
+    line = VolumeCache.format_line("1-3,2-4", est)
+    key, back = VolumeCache.parse_line(line)
+    assert key == "1-3,2-4"
+    assert back == est
