@@ -22,13 +22,13 @@ for k in range(4, K_MAX + 1, 2):
 
 print("\n       c:   0.00      0.25      0.50      0.75      1.00   (exact)")
 for k in range(2, K_MAX + 1, 2):
-    row = [limiting_moment(k, c).value for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    row = [limiting_moment(k, c) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
     print(f"  m_{k:<2}:  " + "  ".join(f"{v:8.4f}" for v in row))
 
 print("\nat c = 0 the even moments are exactly the Catalan numbers:")
 print("  " + ", ".join(
-    f"m_{k}={limiting_moment(k, 0.0).value:.0f}"
+    f"m_{k}={limiting_moment(k, 0.0):.0f}"
     f" (C_{k//2}={catalan(k//2)})" for k in (2, 4, 6, 8, 10, 12)))
 
 print("\nodd moments vanish identically:",
-      all(limiting_moment(k, 0.7).value == 0.0 for k in (1, 3, 5, 7)))
+      all(limiting_moment(k, 0.7) == 0.0 for k in (1, 3, 5, 7)))

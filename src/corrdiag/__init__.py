@@ -15,7 +15,7 @@ from .curie_weiss import (
     sample_spins,
     spontaneous_magnetization,
 )
-from .moments import MomentValue, catalan, closed_form_moments, limiting_moment
+from .moments import catalan, closed_form_moments, limiting_moment
 from .oracle import (
     census_report,
     check_excess_crossing_decay,
@@ -66,7 +66,6 @@ __all__ = [
     "limiting_moment",
     "closed_form_moments",
     "catalan",
-    "MomentValue",
     "pair_correlation",
     "limiting_correlation",
     "spontaneous_magnetization",

@@ -120,9 +120,9 @@ class CriterionResult:
         return f"{'PASS' if self.passed else 'FAIL'} criterion {self.number}: {self.name}"
 
 
-def _z(stats: EnsembleStats, k: int, value: float, std_error: float = 0.0) -> float:
+def _z(stats: EnsembleStats, k: int, value: float) -> float:
     """z-score of the ensemble's order-k moment against one theory value."""
-    return moment_comparison_rows(stats, {k: (value, std_error)})[0]["z_score"]
+    return moment_comparison_rows(stats, {k: value})[0]["z_score"]
 
 
 def _double_factorial(k: int) -> int:
@@ -174,23 +174,23 @@ def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     """Moment formula: order-2 exact, order-4 closed form, Catalan at c=0, odd zero."""
     details, ok = [], True
 
-    exact2 = all(limiting_moment(2, c).value == 1.0 for c in tol["moment_c_grid"])
+    exact2 = all(limiting_moment(2, c) == 1.0 for c in tol["moment_c_grid"])
     ok &= exact2
     details.append(f"order 2 equals 1 exactly on c grid: {exact2}")
 
     for c in tol["moment_c_grid"]:
-        target, _ = closed_form_moments(Equicorrelated(c))[4]
-        gap = abs(limiting_moment(4, c).value - target)
+        target = closed_form_moments(Equicorrelated(c))[4]
+        gap = abs(limiting_moment(4, c) - target)
         # the exact moment rounds once, the closed form three times
         ok &= (gap == 0.0) if c == 0 else (gap <= math.ulp(target))
     details.append("order 4 matches 2 + (2/3)c^2 within 1 ulp, exactly at c=0")
 
-    catalan_ok = all(limiting_moment(k, 0.0).value == float(catalan(k // 2))
+    catalan_ok = all(limiting_moment(k, 0.0) == float(catalan(k // 2))
                      for k in range(2, 13, 2))
     ok &= catalan_ok
     details.append(f"c=0 moments equal Catalan numbers exactly up to k=12: {catalan_ok}")
 
-    odd_ok = all(limiting_moment(k, c).value == 0.0
+    odd_ok = all(limiting_moment(k, c) == 0.0
                  for k in (1, 3, 5, 7, 9, 11) for c in (0.0, 0.5, 1.0))
     ok &= odd_ok
     details.append(f"odd moments exactly 0: {odd_ok}")
@@ -231,7 +231,7 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Independent(), tol["endpoint_independent_realizations"],
         kmax=4, seed=child_seed(seed, 5, 0),
     )
-    z = _z(stats, 4, *closed_form_moments(Independent())[4])
+    z = _z(stats, 4, closed_form_moments(Independent())[4])
     ok &= abs(z) <= band
     details.append(
         f"independent: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs 2 "
@@ -243,10 +243,10 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
     )
-    z = _z(stats, 4, theory.value)
+    z = _z(stats, 4, theory)
     ok &= abs(z) <= band
     details.append(
-        f"toeplitz: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs {theory.value:.5f} "
+        f"toeplitz: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs {theory:.5f} "
         f"(limit formula at c=1, ~8/3)"
     )
     return CriterionResult(5, "semicircle and Toeplitz endpoints", ok, details)
@@ -284,17 +284,17 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
         tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
     )
-    z_hot = _z(stats, 4, theory.value)
+    z_hot = _z(stats, 4, theory)
     ok &= abs(z_hot) <= band
 
     stats = run_ensemble(
         tol["cw_n"], CurieWeiss(tol["cw_subcritical_beta"]),
         tol["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
     )
-    z_cold = _z(stats, 4, *closed_form_moments(Independent())[4])
+    z_cold = _z(stats, 4, closed_form_moments(Independent())[4])
     ok &= abs(z_cold) <= band
     details.append(
-        f"ensembles at n={tol['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory.value:.5f}; "
+        f"ensembles at n={tol['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory:.5f}; "
         f"beta=0.5 m4 z={z_cold:+.2f} vs 2 (R={tol['cw_subcritical_realizations']})"
     )
     return CriterionResult(6, "Curie-Weiss phase transition", ok, details)
@@ -392,6 +392,21 @@ def criterion_9(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(9, "numerics self-consistency", ok, details)
 
 
+def _same_shape(value, default) -> bool:
+    """Whether an override has its default's shape: an int for an int, a number
+    for a float, a string for a string, and a list or tuple for a tuple, its
+    items checked against the default's first if all share one type, else
+    item by item.  A bool is never a number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(set(map(type, default))) == 1:
+            return all(_same_shape(item, default[0]) for item in value)
+        return len(value) == len(default) and all(map(_same_shape, value, default))
+    kind = str if isinstance(default, str) else int if isinstance(default, int) else (int, float)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 _CRITERIA = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4, 5: criterion_5,
     6: criterion_6, 7: criterion_7, 8: criterion_8, 9: criterion_9,
@@ -409,7 +424,12 @@ def run_acceptance(
         unknown = set(tolerances) - set(tol)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        for key, value in tolerances.items():
+            if not _same_shape(value, tol[key]):
+                raise ValueError(f"{key}: {value!r} does not have the shape of its default {tol[key]!r}")
         tol.update(tolerances)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     selected = numbers if numbers is not None else tuple(sorted(_CRITERIA))
     invalid = [number for number in selected if number not in _CRITERIA]
     if invalid:

@@ -77,7 +77,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     rows = ["k,c,value,std_error,form"]
     for k in range(1, args.k + 1):
         for c in args.c_values:
-            rows.append(f"{k},{c:g},{limiting_moment(k, c).value:.12g},0,all_partitions")
+            rows.append(f"{k},{c:g},{limiting_moment(k, c):.12g},0,all_partitions")
     _write_lines(args.out, _header(args), rows)
     return 0
 

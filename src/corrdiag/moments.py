@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,25 +35,19 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def closed_form_moments(gen: GeneratorSpec) -> dict[int, tuple[float, float]]:
-    """Limiting moments known in closed form for ``gen``, as k -> (value, 0.0).
+def closed_form_moments(gen: GeneratorSpec) -> dict[int, float]:
+    """Limiting moments known in closed form for ``gen``, as k -> value.
 
     Equicorrelated(c) has m2 = 1 and m4 = 2 + (2/3)c^2; Independent is its
-    c = 0 case.  Other generators get no rows.
+    c = 0 case.  Other generators get no rows.  The formulas are exact, so a
+    value carries no standard error.
     """
     if isinstance(gen, Equicorrelated):
         c = gen.c
-        return {2: (1.0, 0.0), 4: (2.0 + (2.0 / 3.0) * c * c, 0.0)}
+        return {2: 1.0, 4: 2.0 + (2.0 / 3.0) * c * c}
     if isinstance(gen, Independent):
-        return {2: (1.0, 0.0), 4: (2.0, 0.0)}
+        return {2: 1.0, 4: 2.0}
     return {}
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    k: int
-    c: float
-    value: float
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +60,7 @@ def exact_moment_polynomial(k: int) -> tuple[Fraction, ...]:
     return tuple(coefficients)
 
 
-def limiting_moment(k: int, c: float) -> MomentValue:
+def limiting_moment(k: int, c: float) -> float:
     """Moment of order k of the limiting distribution with correlation c:
     `exact_moment_polynomial` at Fraction(c), rounded to float once.  Odd
     orders are 0; ValueError for an even order above EXACT_MAX_K."""
@@ -76,7 +69,7 @@ def limiting_moment(k: int, c: float) -> MomentValue:
     if not math.isfinite(c):
         raise ValueError(f"correlation must be finite, got {c}")
     if k % 2:
-        return MomentValue(k, float(c), 0.0)
+        return 0.0
     if k > EXACT_MAX_K:
         raise ValueError(f"moment order {k} is above the exact range (k <= {EXACT_MAX_K})")
     if not 0.0 <= c <= 1.0:
@@ -85,5 +78,4 @@ def limiting_moment(k: int, c: float) -> MomentValue:
             stacklevel=2,
         )
     exact = Fraction(c)
-    value = sum(a * exact**j for j, a in enumerate(exact_moment_polynomial(k)))
-    return MomentValue(k, float(c), float(value))
+    return float(sum(a * exact**j for j, a in enumerate(exact_moment_polynomial(k))))

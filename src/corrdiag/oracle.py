@@ -141,12 +141,8 @@ def _census_bytes(n: int, k: int) -> int:
     opposed, the shared-cell histogram and the block ties, by t, and all
     walks by t.
 
-    The census lists its slabs' bounds: per slab a tuple and two ints
-    (64 + 64 bytes as allocated) and a slot in each of two lists, counted
-    as 160 bytes to cover the lists' slack.
     The Python objects and array headers every census holds whatever its
-    shape add `_CENSUS_OBJECTS`.  Both are counted as if every worker held
-    them.
+    shape add `_CENSUS_OBJECTS`, counted as if every worker held them.
     """
     m = _trailing_axes(n, k)
     width, prefixes = min(n ** (k - 1), _SLAB), min(n ** (k - 1 - m), _SLAB)
@@ -154,8 +150,7 @@ def _census_bytes(n: int, k: int) -> int:
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
     return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
             + n**m * (10 * m + 30) + 48 * (m + 1) * n
-            + 32 * k * (parts * (pairs + k // 2 + 3) + 1)
-            + 160 * _slab_count(n, k) + _CENSUS_OBJECTS)
+            + 32 * k * (parts * (pairs + k // 2 + 3) + 1) + _CENSUS_OBJECTS)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -170,7 +165,7 @@ def _check_cost(n: int, k: int) -> None:
     pairs = k * (k - 1) // 2
     if pairs > MASK_BITS:
         raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
-    check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=_slab_count(n, k))
+    check_memory(f"(n, k) = ({n}, {k})", _census_bytes(n, k), jobs=len(_slabs(n, k)))
 
 
 def _add_pairs(masks, pairs) -> None:
@@ -226,15 +221,10 @@ def _slab_step(n: int, k: int, kept: int | None = None) -> int:
     return _SLAB // max(block if kept is None else kept, 1) * block
 
 
-def _slabs(n: int, k: int, kept: int | None = None) -> list[tuple[int, int]]:
-    """Bounds [lo, hi) of the slabs of the flattened (p_2, ..., p_k) grid."""
-    width, step = n ** (k - 1), _slab_step(n, k, kept)
-    return [(lo, min(lo + step, width)) for lo in range(0, width, step)]
-
-
-def _slab_count(n: int, k: int) -> int:
-    """len(_slabs(n, k)), without listing them."""
-    return -(-n ** (k - 1) // _slab_step(n, k))
+def _slabs(n: int, k: int, kept: int | None = None) -> range:
+    """First walks of the slabs of the flattened (p_2, ..., p_k) grid; slab
+    lo ends at min(lo + step, n^(k-1)), the range's step its width."""
+    return range(0, n ** (k - 1), _slab_step(n, k, kept))
 
 
 @dataclass(eq=False)
@@ -292,8 +282,9 @@ def _trailing_block(n: int, k: int) -> _TrailingBlock:
 def _slab(tail: _TrailingBlock, lo: int, hi: int):
     """Walks lo..hi-1 from p_1 = 0 of the flattened (p_2, ..., p_k) grid
     that ``tail`` keeps, in the C order of ``np.indices((n,) * (k - 1))``:
-    p_2 varies slowest, p_k fastest.  [lo, hi) covers whole prefixes
-    (p_2, ..., p_{k-m}), each followed by every kept walk of the block.
+    p_2 varies slowest, p_k fastest; hi may pass the grid's end.  [lo, hi)
+    covers whole prefixes (p_2, ..., p_{k-m}), each followed by every kept
+    walk of the block.
 
     Returns their sites, a (k, W) int16 array with one column per walk and
     row 0 all zeros; their bitmasks |d_i| = |d_j| and d_i = -d_j, one row
@@ -302,7 +293,7 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     (k,) in int64, read off the block's translates by (run, prefix max)."""
     n, k, m = tail.n, tail.k, len(tail.sites)
     head, width = k - 1 - m, tail.sites.shape[1]
-    first = np.arange(lo // n**m, hi // n**m)
+    first = np.arange(lo // n**m, min(hi, n ** (k - 1)) // n**m)
     prefix = np.array([first // n ** (head - 1 - axis) % n for axis in range(head)],
                       dtype=np.int16).reshape(head, len(first))
     run, top = _trailing_and_span(prefix)
@@ -448,17 +439,17 @@ def walk_census(n: int, k: int) -> WalkCensus:
     _check_cost(n, k)
     ordered, signatures = _signatures(k)
     tail = _trailing_block(n, k)
+    slabs = _slabs(n, k, tail.sites.shape[1])
 
     def tally(group):
         """Counts of the walks from p_1 = 0 in ``group``'s slabs, one slab held at a time."""
-        total = _slab_tallies(tail, *group[0], signatures)
-        for bounds in group[1:]:
-            for held, counts in zip(total, _slab_tallies(tail, *bounds, signatures)):
+        total = _slab_tallies(tail, group[0], group[0] + slabs.step, signatures)
+        for lo in group[1:]:
+            for held, counts in zip(total, _slab_tallies(tail, lo, lo + slabs.step, signatures)):
                 held += counts
         return total
 
     # each worker sums its own slabs, so the tallies held stay one set per worker
-    slabs = _slabs(n, k, tail.sites.shape[1])
     count = workers(len(slabs))
     groups = [slabs[w::count] for w in range(count)]
     matched, opposed, cells, ties, every = (
@@ -517,8 +508,9 @@ def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
     # rotation j sends the partition in slot sources[j] to p
     sources = np.argmax(slot_of == ordered.index(p.canonical()), axis=1)
     tail = _trailing_block(n, k)
-    for bounds in _slabs(n, k, tail.sites.shape[1]):
-        rows, (eq, neg), trailing = _slab(tail, *bounds)[:3]
+    slabs = _slabs(n, k, tail.sites.shape[1])
+    for lo in slabs:
+        rows, (eq, neg), trailing = _slab(tail, lo, lo + slabs.step)[:3]
         hits = []
         for j, sig in enumerate(signatures[sources]):
             walks = np.flatnonzero((trailing >= j) & (eq == sig) & ((neg & sig) == sig))

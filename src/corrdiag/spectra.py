@@ -193,36 +193,31 @@ def write_histogram_csv(stats: EnsembleStats, path: str | Path,
 
 def write_moment_csv(rows: list[dict], path: str | Path,
                      header_lines: tuple[str, ...] = ()) -> Path:
-    """CSV columns: k, empirical, SE, theoretical, theory_SE, z_score."""
+    """CSV columns: k, empirical, SE, theoretical, theory_SE, z_score.  Theory
+    values are exact: theory_SE is always 0, kept for six-field readers."""
     lines = ["k,empirical,SE,theoretical,theory_SE,z_score"]
     for row in rows:
         lines.append(
             f"{row['k']},{row['empirical']:.17g},{row['SE']:.17g},"
-            f"{row['theoretical']:.17g},{row['theory_SE']:.17g},{row['z_score']:.17g}"
+            f"{row['theoretical']:.17g},0,{row['z_score']:.17g}"
         )
     return write_lines(path, header_lines, lines)
 
 
-def moment_comparison_rows(stats: EnsembleStats, theory: dict[int, tuple[float, float]]) -> list[dict]:
-    """Pair empirical ensemble moments with theory values.
+def moment_comparison_rows(stats: EnsembleStats, theory: dict[int, float]) -> list[dict]:
+    """Pair empirical ensemble moments with exact theory values, k -> value.
 
-    ``theory`` maps k -> (value, std_error).  The z-score combines the
-    ensemble SE with the theory's Monte Carlo SE in quadrature.
+    The z-score is (empirical - theory) / SE, SE the ensemble's standard
+    error; at SE = 0 it is 0 on a match and an infinity of the gap's sign.
     """
     rows = []
-    for k in range(1, stats.kmax + 1):
-        if k not in theory:
-            continue
-        theo, theo_se = theory[k]
+    for k in sorted(theory.keys() & range(1, stats.kmax + 1)):
+        theo = theory[k]
         emp = float(stats.moments[k - 1])
         se = float(stats.moment_se[k - 1])
-        spread = math.hypot(se, theo_se)
-        if spread > 0:
-            z = (emp - theo) / spread
+        if se > 0:
+            z = (emp - theo) / se
         else:
             z = 0.0 if emp == theo else math.copysign(math.inf, emp - theo)
-        rows.append({
-            "k": k, "empirical": emp, "SE": se,
-            "theoretical": theo, "theory_SE": theo_se, "z_score": z,
-        })
+        rows.append({"k": k, "empirical": emp, "SE": se, "theoretical": theo, "z_score": z})
     return rows

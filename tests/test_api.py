@@ -24,7 +24,8 @@ def test_every_exported_name_resolves():
 
 
 def test_retired_opposed_ratio_exports_are_gone():
-    for name in ("opposed_ratio", "extrapolated_opposed_ratio", "solution_ratio", "VolumeCache"):
+    for name in ("opposed_ratio", "extrapolated_opposed_ratio", "solution_ratio", "VolumeCache",
+                 "MomentValue"):
         assert name not in corrdiag.__all__
         assert not hasattr(corrdiag, name)
 

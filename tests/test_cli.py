@@ -394,6 +394,24 @@ def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys, monkeypatch):
     assert "decay_grid_k4" in err and "strictly increasing" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("--criteria", "2", "--tolerances", '{"se_band": "x"}'), "se_band"),
+    (("--criteria", "7", "--tolerances", '{"cell_bound_max_n": 4.0}'), "cell_bound_max_n"),
+    (("--criteria", "3", "--tolerances", '{"moment_c_grid": 0.5}'), "moment_c_grid"),
+    (("--criteria", "3", "9", "--tolerances", '{"tie_k4": ["1-3,2-4", [1, true]]}'), "tie_k4"),
+    (("--criteria", "3", "9", "--seed", "-1"), "seed"),
+])
+def test_verify_rejects_a_mistyped_override_or_seed_before_any_criterion(
+        tmp_path, capsys, monkeypatch, argv, named):
+    started = []
+    for number in acceptance._CRITERIA:
+        monkeypatch.setitem(acceptance._CRITERIA, number, lambda *args: started.append(args))
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "d"))
+    assert code == 2 and out == "" and started == []
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--criteria", "1",
                            "--tolerances", '{"no_such_key": 1}', "--out", str(tmp_path))

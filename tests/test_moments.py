@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from corrdiag.cli import main
 from corrdiag.moments import (
     EXACT_MAX_K,
-    MomentValue,
     catalan,
     closed_form_moments,
     exact_moment_polynomial,
@@ -41,31 +40,31 @@ def test_catalan_small_values():
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_second_moment_is_one_for_all_c(c):
-    assert limiting_moment(2, c).value == 1.0
+    assert limiting_moment(2, c) == 1.0
 
 
 def test_odd_moments_vanish():
     for k in (1, 3, 5, 7, 9, 11):
-        assert limiting_moment(k, 0.7).value == 0.0
+        assert limiting_moment(k, 0.7) == 0.0
 
 
 def test_uncorrelated_moments_are_catalan():
     for k in range(2, 13, 2):
-        assert limiting_moment(k, 0.0).value == float(catalan(k // 2))
+        assert limiting_moment(k, 0.0) == float(catalan(k // 2))
 
 
 def test_sixth_moment_full_correlation():
-    assert limiting_moment(6, 1.0).value == M6_FULL_CORRELATION
+    assert limiting_moment(6, 1.0) == M6_FULL_CORRELATION
 
 
 def test_fourth_moment_full_correlation():
-    assert limiting_moment(4, 1.0).value == M4_FULL_CORRELATION
+    assert limiting_moment(4, 1.0) == M4_FULL_CORRELATION
 
 
 def test_moments_increase_with_correlation():
     # order 14 takes about 2.5 minutes to fit, so the computed orders stop at 12
     for k in range(4, 13, 2):
-        values = [limiting_moment(k, c).value for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        values = [limiting_moment(k, c) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert values == sorted(set(values)), k
 
 
@@ -80,14 +79,14 @@ def test_exact_moments_round_once_with_zero_error():
     for k in (2, *EXACT_POLYNOMIALS):
         for c in (0.0, 0.1, 0.25, 0.5, 1 / 3, 0.9168, 1.0):
             exact = sum(a * Fraction(c) ** j for j, a in enumerate(exact_moment_polynomial(k)))
-            assert limiting_moment(k, c).value == float(exact), (k, c)
-    assert limiting_moment(10, 1.0).value == 415.0
+            assert limiting_moment(k, c) == float(exact), (k, c)
+    assert limiting_moment(10, 1.0) == 415.0
 
 
 def test_exact_fourth_moment_within_one_ulp_of_closed_form():
     for c in (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0):
-        target, _ = closed_form_moments(Equicorrelated(c))[4]
-        assert abs(limiting_moment(4, c).value - target) <= math.ulp(target)
+        target = closed_form_moments(Equicorrelated(c))[4]
+        assert abs(limiting_moment(4, c) - target) <= math.ulp(target)
 
 
 def test_nonpositive_sample_budget_rejected(capsys):
@@ -102,7 +101,7 @@ def test_nonpositive_sample_budget_rejected(capsys):
 def test_even_orders_above_the_exact_range_rejected(capsys):
     with pytest.raises(ValueError, match="exact range"):
         limiting_moment(16, 0.5)
-    assert limiting_moment(17, 0.5).value == 0.0
+    assert limiting_moment(17, 0.5) == 0.0
     assert main(["moments", "--k", "16"]) == 2
     assert "--k" in capsys.readouterr().err
 
@@ -119,12 +118,6 @@ def test_non_finite_correlation_rejected(capsys):
                 limiting_moment(k, c)
     assert main(["moments", "--k", "4", "--c", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
-
-
-def test_moment_value_is_frozen():
-    m = MomentValue(4, 0.5, 2.1)
-    with pytest.raises(AttributeError):
-        m.value = 3.0
 
 
 def test_default_sample_budget_sane():

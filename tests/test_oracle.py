@@ -435,7 +435,8 @@ def test_rotations_and_translates_cover_every_walk(monkeypatch, n, k):
     for width in (oracle._SLAB, n + 1):
         monkeypatch.setattr(oracle, "_SLAB", width)
         tail = _trailing_block(n, k)
-        every = sum(_slab(tail, *bounds)[4] for bounds in _slabs(n, k, tail.sites.shape[1]))
+        slabs = _slabs(n, k, tail.sites.shape[1])
+        every = sum(_slab(tail, lo, lo + slabs.step)[4] for lo in slabs)
         assert every.dtype == np.int64 and every.tolist() == direct.tolist()
         assert int(np.arange(1, k + 1) @ every) == n**k
 
@@ -491,7 +492,7 @@ def test_lookup_rejects_walks_with_k_half_bits_that_match_no_partition():
     masks = np.zeros((2, rows.shape[1]), dtype=_mask_dtype(6))
     _add_pairs(masks, [(bit, steps[i], steps[j]) for bit, (i, j) in enumerate(_pair_index(6))])
     tail = _trailing_block(12, 6)
-    in_census = _slab(tail, *_slabs(12, 6, tail.sites.shape[1])[0])[1][0]
+    in_census = _slab(tail, 0, _slabs(12, 6, tail.sites.shape[1]).step)[1][0]
     for eq in (masks[0], in_census):
         candidates = set(eq[np.bitwise_count(eq) == 3].tolist())
         assert candidates & signatures
@@ -569,8 +570,8 @@ def test_census_sums_slabs_that_hold_no_candidate(monkeypatch):
 def test_census_peak_within_memory_estimate(monkeypatch):
     # the benchmark's censuses and the largest one the tests run: one slab at a
     # time keeps each at a few MiB, whatever n is; (12, 2) holds little more
-    # than the census's fixed objects, and (16, 6) at 389-walk slabs lists
-    # the bounds of 4096 slabs
+    # than the census's fixed objects, and (16, 6) at 389-walk slabs scans
+    # 4096 slabs
     monkeypatch.setenv("CORRDIAG_THREADS", "1")
     for n, k, slab in ((60, 4, oracle._SLAB), (12, 6, oracle._SLAB), (6, 8, oracle._SLAB),
                        (18, 6, oracle._SLAB), (12, 2, oracle._SLAB), (16, 6, 389)):

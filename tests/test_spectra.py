@@ -1,6 +1,5 @@
 """Spectral statistics: eigenvalues, moments, ensembles, CSV output."""
 
-import math
 import os
 
 import numpy as np
@@ -211,14 +210,13 @@ def test_histogram_csv_format(tmp_path):
 
 def test_moment_csv_and_z_scores(tmp_path):
     stats = run_ensemble(60, Equicorrelated(0.5), 8, kmax=4, seed=5)
-    rows = moment_comparison_rows(stats, {2: (1.0, 0.0), 4: (13.0 / 6.0, 0.01)})
+    rows = moment_comparison_rows(stats, {2: 1.0, 4: 13.0 / 6.0})
     path = write_moment_csv(rows, tmp_path / "m.csv", ("corrdiag test",))
     lines = path.read_text().splitlines()
     assert lines[1] == "k,empirical,SE,theoretical,theory_SE,z_score"
     by_k = {int(row.split(",")[0]): row.split(",") for row in lines[2:]}
-    z4 = float(by_k[4][5])
-    expected = (stats.moments[3] - 13.0 / 6.0) / math.hypot(stats.moment_se[3], 0.01)
-    assert z4 == pytest.approx(expected, rel=1e-12)
+    assert by_k[4][4] == "0"  # theory values are exact
+    assert float(by_k[4][5]) == (stats.moments[3] - 13.0 / 6.0) / stats.moment_se[3]
 
 
 def test_concentration_probe_slope():
@@ -253,7 +251,7 @@ PINNED_MOMENTS = """\
 k,empirical,SE,theoretical,theory_SE,z_score
 2,1.0123456789,0.02,1,0,0.61728394500000228
 3,-0.002,0,0,0,-inf
-4,2.25,0.10000000000000001,2.1666666666666665,0.050000000000000003,0.74535599249993112
+4,2.25,0.10000000000000001,2.1666666666666665,0,0.83333333333333481
 """
 
 
@@ -267,8 +265,9 @@ def test_csv_writers_pinned_bytes(tmp_path):
         counts=np.array([1, 3, 4, 2]), underflow=1, overflow=1,
     )
     hist = write_histogram_csv(stats, tmp_path / "h.csv", ("corrdiag test", "config: x"))
-    theory = {2: (1.0, 0.0), 3: (0.0, 0.0), 4: (2.0 + (2.0 / 3.0) * 0.5 * 0.5, 0.05)}
+    theory = {2: 1.0, 3: 0.0, 4: 2.0 + (2.0 / 3.0) * 0.5 * 0.5}
     rows = moment_comparison_rows(stats, theory)
+    assert rows[2]["z_score"] == (2.25 - theory[4]) / 0.1
     moments = write_moment_csv(rows, tmp_path / "m.csv", ("corrdiag test",))
     assert hist.read_text() == PINNED_HISTOGRAM
     assert moments.read_text() == PINNED_MOMENTS
