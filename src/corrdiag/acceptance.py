@@ -59,6 +59,7 @@ from .oracle import (
 from .partitions import PairPartition, enumerate_pair_partitions, height, is_crossing
 from .sampler import CurieWeiss, Equicorrelated, Independent, Toeplitz, build_matrix, child_seed
 from .spectra import (
+    CONCENTRATION_MIN_SIZES,
     EnsembleStats,
     concentration_probe,
     eigenvalues_symmetric,
@@ -439,6 +440,10 @@ def run_acceptance(
             check_grid(tuple(tol[key]))
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
+    for key, least in (("moment_c_grid", 1), ("figure_c_grid", 1), ("cw_ladder", 1),
+                       ("concentration_grid", CONCENTRATION_MIN_SIZES)):
+        if len(tol[key]) < least:
+            raise ValueError(f"{key}: need at least {least} value(s), got {len(tol[key])}")
     for key in ("oracle_k4_n", "oracle_k6_n"):
         if type(tol[key]) is not int or tol[key] < 1:
             raise ValueError(f"{key}: a size must be an integer >= 1, got {tol[key]!r}")

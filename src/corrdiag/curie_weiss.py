@@ -46,18 +46,26 @@ class MagnetizationLaw:
 
 def magnetization_levels(n: int, beta: float) -> MagnetizationLaw:
     # imported here: scipy.special costs about 0.3 s and 24 MB, and only the level law uses it
-    from scipy.special import gammaln, logsumexp
+    from scipy.special import gammaln
 
     _check_params(n, beta)
     j = np.arange(n + 1)
     totals = 2 * j - n
+    log_factorials = gammaln(j + 1)
     log_weights = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
+        log_factorials[n]
+        - log_factorials
+        - log_factorials[::-1]
         + beta * totals.astype(np.float64) ** 2 / (2.0 * n)
     )
-    log_weights -= logsumexp(log_weights)
+    # the log of the weights' sum in scipy.special.logsumexp's own steps (scipy
+    # 1.17): the largest terms apart, log1p of the others relative to them
+    top = log_weights.max()
+    largest = log_weights == top
+    others = np.exp(log_weights - top)
+    others[largest] = 0.0
+    ties = float(np.count_nonzero(largest))
+    log_weights -= np.log1p(others.sum() / ties) + np.log(ties) + top
     return MagnetizationLaw(n, float(beta), totals, np.exp(log_weights))
 
 

@@ -113,13 +113,21 @@ def child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def _kept_bytes(gen: GeneratorSpec, n: int) -> int:
+    """Bytes a size-n build keeps for the life of the process: a Curie-Weiss
+    build fills `curie_weiss._level_cdf` for lengths 1..n, n(n + 3)/2 doubles
+    per beta; the other generators keep nothing."""
+    return 4 * n * (n + 3) if isinstance(gen, CurieWeiss) else 0
+
+
 def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0) -> np.ndarray:
-    """One realization of the scaled symmetric matrix as a dense float array."""
+    """One realization of the scaled symmetric matrix as a dense float array.
+    The memory guard counts the matrix and `_kept_bytes`."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     if not isinstance(gen, GeneratorSpec):
         raise TypeError(f"unknown generator spec: {gen!r}")
-    check_memory(f"an n={n} matrix", 8 * n * n)
+    check_memory(f"an n={n} matrix", 8 * n * n, _kept_bytes(gen, n))
     np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects a negative seed or realization
     # allocate the matrix before the seed arrays: those small arrays would
     # otherwise split the heap hole that the last freed matrix left, the new

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import check_memory, parallel_map
-from .sampler import GeneratorSpec, build_matrix, child_seed
+from .sampler import GeneratorSpec, _kept_bytes, build_matrix, child_seed
 
 TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
@@ -93,7 +93,8 @@ def run_ensemble(
     LAPACK and the n^2-byte finiteness mask) and the two bins + 1 float64
     temporaries of ``np.histogram``; shared, in 8-byte words, the bins + 1
     edges, one counts row and one moment row per realization, the moment
-    stack and the running count sum.
+    stack and the running count sum, plus the tables the builds keep
+    (`sampler._kept_bytes`).
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -106,7 +107,8 @@ def run_ensemble(
         raise ValueError(f"histogram range must be increasing, got {hist_range}")
     check_memory(f"n={n}, {realizations} realization(s) of {bins} bins",
                  17 * n * n + 16 * (bins + 1),
-                 8 * ((realizations + 2) * (bins + 1) + 2 * realizations * kmax),
+                 8 * ((realizations + 2) * (bins + 1) + 2 * realizations * kmax)
+                 + _kept_bytes(gen, n),
                  jobs=realizations)
     edges = np.linspace(lo, hi, bins + 1)
 
@@ -135,6 +137,9 @@ def run_ensemble(
     )
 
 
+CONCENTRATION_MIN_SIZES = 3  # sizes `concentration_probe` fits its slope through
+
+
 def concentration_probe(
     n_grid: tuple[int, ...],
     gen: GeneratorSpec,
@@ -144,8 +149,8 @@ def concentration_probe(
 ) -> dict:
     """Fourth central moment of trace(X^k) along a size grid, with its
     log-log slope against n."""
-    if len(n_grid) < 3:
-        raise ValueError(f"need at least 3 grid points, got {len(n_grid)}")
+    if len(n_grid) < CONCENTRATION_MIN_SIZES:
+        raise ValueError(f"need at least {CONCENTRATION_MIN_SIZES} grid points, got {len(n_grid)}")
     if realizations < 200:
         raise ValueError(f"need at least 200 realizations, got {realizations}")
     fourth = []

@@ -20,16 +20,17 @@ its leading coefficient is the volume.  L(t) at t = n - 1 is also the
 number of walks on n sites that solve the partition's cancellation system
 (`lattice_count`).  One cache per dihedral orbit keeps the fitted
 polynomial: `exact_volume` reads its leading coefficient and
-`lattice_count` evaluates it at t.  The counter enumerates k/2 free
-variables on {0..t} and solves for the column most rows use: its admissible
-values form an interval, whose ends take one floor division per row.  It
-counts the interior of tP too (every free variable and row sum in
-{1..t-1}), and Ehrhart-Macdonald reciprocity, L(-t) = (-1)^(k/2+1) L°(t),
-turns interior counts into values of L at negative t.  So the polynomial is
-fitted with exact differences on the window t = -floor(d/2)..ceil(d/2),
-d = k/2 + 1, and confirmed by one more closed and one more interior count:
-the largest count is at t = ceil(d/2) + 1 (4 at k = 10, against 8 for a fit
-from t = 0).
+`lattice_count` evaluates it at t.  The counter walks the grid of all
+k/2 + 1 free variables on {0..t} once and histograms each point's reach,
+the largest of its coordinates and row sums.  It counts the interior of tP
+too (every free variable and row sum in {1..t-1}), and Ehrhart-Macdonald
+reciprocity, L(-t) = (-1)^(k/2+1) L°(t), turns interior counts into values
+of L at negative t.  So the polynomial is fitted with exact differences on
+the window t = -floor(d/2)..ceil(d/2), d = k/2 + 1, and no count outside it
+is taken: the largest is at t = ceil(d/2) (3 at k = 10, against 6 for a fit
+from t = 0).  Ehrhart's theorem and reciprocity hold for lattice polytopes,
+so each orbit's rows are certified totally unimodular before its fit
+(`lattice_polynomial`), which makes the fit exact.
 
 Reproducibility contract: the uniform stream is a counter-based generator
 (Philox) laid out as sample index -> point, and chunks are aligned on
@@ -46,6 +47,7 @@ constraint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,54 +174,62 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
     return VolumeEstimate(value, std_error, samples, seed, False)
 
 
+def _totally_unimodular(rows: np.ndarray) -> bool:
+    """Ghouila-Houri's test (Ghouila-Houri 1962; Schrijver, *Theory of Linear
+    and Integer Programming*, ch. 19): an integer matrix is totally unimodular
+    exactly when every subset of its rows has signs +-1 whose signed row sum
+    lies in {-1, 0, 1} in every column.  All 3^R signings sigma in {-1, 0, 1}^R
+    are tried at once; one with |sigma . rows| <= 1 in every column serves
+    the subset where it is nonzero, and each of the 2^R subsets needs one.
+    No rows is totally unimodular."""
+    count = len(rows)
+    signings = np.array(list(itertools.product((-1, 0, 1), repeat=count)),
+                        dtype=np.int64).reshape(3**count, count)
+    kept = np.abs(signings @ rows).max(axis=1, initial=0) <= 1
+    supports = (signings[kept] != 0) @ (1 << np.arange(count))
+    return bool(np.bincount(supports, minlength=1 << count).all())
+
+
+@lru_cache(maxsize=1)
+def _grid(dims: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every point of {0..top}^dims as a column of a float32 (dims, N) array,
+    with each point's largest and smallest coordinate.  Every orbit of one
+    order counts on the same grid, so the last one is kept."""
+    points = np.indices((top + 1,) * dims, dtype=np.float32).reshape(dims, -1)
+    grid = points, points.max(axis=0), points.min(axis=0)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
     """Lattice points of tP for integer ``rows`` (R, d) and each (t, inset) in
     ``sizes``: points f of {inset..t-inset}^d with inset <= rows @ f <= t - inset.
     Inset 0 counts the closed polytope, inset 1 its interior.
 
-    The column most rows use is solved rather than enumerated: a row with
-    coefficient a != 0 there bounds it to the interval from
-    inset <= s + a x <= t - inset, where s is the row's sum over the other
-    columns; a row with a == 0 is an all-or-nothing test of s.  The sums over
-    the grid of the other d - 1 columns are built once at the largest t, top,
-    and each count reads the corner of that grid where every column lies in
-    {inset..t-inset}.  Memory: R int64 sums over (top + 1)^(d-1) points, plus
-    the two bounds and two temporaries.
+    One pass over the grid {0..top}^d, top the largest t: a point's reach is
+    the largest of its coordinates and row sums, its low the smallest row
+    sum, and it is counted for (t, inset) when its coordinates and low are
+    at least inset and its reach at most t - inset.  So each inset's counts
+    are the cumulative histogram of reach.  The row sums are one float32
+    matmul, exact while they stay below 2^24.  Memory: the grid with its two
+    extremes (d + 2 floats a point), the R float32 sums, and per point two
+    float32 and one int64 temporary, three masks and a masked int64 copy.
     """
     dims, top = rows.shape[1], max(t for t, _ in sizes)
-    last = int(np.argmax(np.count_nonzero(rows, axis=0))) if len(rows) else 0
-    others = [j for j in range(dims) if j != last]
+    points = (top + 1) ** dims
     check_memory(f"a k={2 * (dims - 1)} lattice count up to t={top}",
-                 8 * (top + 1) ** len(others) * (len(rows) + 4))
-    axis = np.arange(top + 1, dtype=np.int64)
-    all_sums = []
-    for row in rows:
-        sums = np.zeros((), dtype=np.int64)
-        for j in others:
-            sums = np.add.outer(sums, row[j] * axis)
-        all_sums.append(sums)
-
-    counts = []
-    for t, inset in sizes:
-        floor, ceiling = inset, t - inset
-        corner = (slice(floor, ceiling + 1),) * len(others)
-        lo = np.full((max(ceiling - floor + 1, 0),) * len(others), floor, dtype=np.int64)
-        hi = np.full_like(lo, ceiling)
-        for row, sums in zip(rows, all_sums):
-            sums, a = sums[corner], int(row[last])
-            if a == 0:
-                hi[(sums < floor) | (sums > ceiling)] = floor - 1
-                continue
-            # a > 0: (floor - s)/a <= x <= (ceiling - s)/a;
-            # a < 0: (s - ceiling)/|a| <= x <= (s - floor)/|a|
-            down, up = (sums - floor, ceiling - sums) if a > 0 else (ceiling - sums, sums - floor)
-            if abs(a) > 1:
-                down, up = down // abs(a), up // abs(a)
-            np.maximum(lo, -down, out=lo)
-            np.minimum(hi, up, out=hi)
-        hi -= lo
-        counts.append(int(np.maximum(hi, -1).sum()) + hi.size)
-    return counts
+                 points * (4 * (dims + len(rows) + 4) + 27))
+    assert np.abs(rows).sum(axis=1, initial=0).max(initial=0) * top < 2**24, "float32 sums inexact"
+    grid, largest, smallest = _grid(dims, top)
+    sums = rows.astype(np.float32) @ grid
+    reach = np.maximum(sums.max(axis=0, initial=0), largest).astype(np.int64)
+    low = sums.min(axis=0, initial=np.inf)
+    counted = {}
+    for inset in {inset for _, inset in sizes}:
+        inside = (low >= inset) & (smallest >= inset)
+        counted[inset] = np.cumsum(np.bincount(reach[inside], minlength=top + 1))
+    return [int(counted[inset][t - inset]) if t >= inset else 0 for t, inset in sizes]
 
 
 def _fit_polynomial(values: list[int], start: int) -> tuple[Fraction, ...]:
@@ -254,32 +264,27 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     L(-t) = (-1)^d L°(t), where L°(t) counts the interior lattice points of
     tP (Beck-Robins, ch. 4).  So L is fitted on the symmetric window
     t = -floor(d/2)..ceil(d/2): closed counts at t >= 0 and signed interior
-    counts at t < 0, all read off one grid of ceil(d/2) + 2 points a side.
+    counts at t < 0, all read off one grid of ceil(d/2) + 1 points a side.
 
     Both Ehrhart's theorem and reciprocity need P to be a lattice polytope.
-    For every crossing partition up to k = 10 the determined rows are
-    totally unimodular (a test checks every square minor), so with the unit
-    rows of the free variables they cut out a polytope with integer vertices
-    (Hoffman-Kruskal), and the fit is exact.  Two more counts cross-check
-    it: the closed count at t = ceil(d/2) + 1 and the interior count at
-    floor(d/2) + 1.  ArithmeticError is raised if either disagrees.  At
-    k = 12 and 14 total unimodularity is not checked, and these two counts,
-    which every orbit passes, are the only evidence for the fit.
+    Before the fit, the rows that can fail are certified totally unimodular
+    (`_totally_unimodular`); with the unit rows of the free variables, which
+    keep that property, they cut out a polytope with integer vertices
+    (Hoffman-Kruskal), and the fit is exact.  Every orbit up to k = 14
+    passes; one that did not would raise ArithmeticError.  No count outside
+    the window is taken.
     """
     degree = p.k // 2 + 1
     below, above = degree // 2, degree - degree // 2
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
-    sizes = [(t, 0) for t in range(above + 2)] + [(t, 1) for t in range(1, below + 2)]
-    counts = _lattice_counts(rows, sizes)
-    closed, interior = counts[:above + 2], [(-1) ** degree * c for c in counts[above + 2:]]
-    window = interior[below - 1::-1] + closed[:above + 1]
-    coefficients = _fit_polynomial(window, start=-below)
-    for t, count in ((above + 1, closed[-1]), (-below - 1, interior[-1])):
-        fitted = _evaluate(coefficients, t)
-        if fitted != count:
-            raise ArithmeticError(f"lattice counts of {p.canonical()} give L({t}) = {count}, "
-                                  f"not the fitted polynomial's {fitted}")
-    return coefficients
+    if not _totally_unimodular(rows):
+        raise ArithmeticError(f"the rows of {p.canonical()} are not totally unimodular, so its "
+                              "polytope need not have integer vertices and no Ehrhart fit holds")
+    counts = _lattice_counts(rows, [(t, 0) for t in range(above + 1)]
+                             + [(t, 1) for t in range(1, below + 1)])
+    closed, interior = counts[:above + 1], counts[above + 1:]
+    window = [(-1) ** degree * c for c in reversed(interior)] + closed
+    return _fit_polynomial(window, start=-below)
 
 
 # canonical form of a partition -> its orbit's key, filled an orbit at a time

@@ -400,6 +400,10 @@ def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys, monkeypatch):
     (("--criteria", "3", "--tolerances", '{"moment_c_grid": 0.5}'), "moment_c_grid"),
     (("--criteria", "3", "9", "--tolerances", '{"tie_k4": ["1-3,2-4", [1, true]]}'), "tie_k4"),
     (("--criteria", "3", "9", "--seed", "-1"), "seed"),
+    # grids shorter than their criterion reads
+    (("--criteria", "4", "--tolerances", '{"figure_c_grid": []}'), "figure_c_grid"),
+    (("--criteria", "6", "--tolerances", '{"cw_ladder": []}'), "cw_ladder"),
+    (("--criteria", "1", "8", "--tolerances", '{"concentration_grid": [50]}'), "concentration_grid"),
 ])
 def test_verify_rejects_a_mistyped_override_or_seed_before_any_criterion(
         tmp_path, capsys, monkeypatch, argv, named):

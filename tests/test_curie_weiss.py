@@ -125,6 +125,29 @@ def test_sample_spins_reproducible_from_seed():
     assert np.array_equal(a, b)
 
 
+def _scipy_levels(n, beta):
+    from scipy.special import gammaln, logsumexp
+
+    j = np.arange(n + 1)
+    totals = 2 * j - n
+    log_weights = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+                   + beta * totals.astype(np.float64) ** 2 / (2.0 * n))
+    log_weights -= logsumexp(log_weights)
+    return np.exp(log_weights)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_level_law_bytes_equal_scipy_logsumexp(beta):
+    # the law is symmetric, so its most likely level often has a twin of
+    # exactly the same log weight: logsumexp then sets both apart
+    ties = 0
+    for n in [*range(1, 120), 499, 500, 999, 1000]:
+        probs = magnetization_levels(n, beta).probs
+        assert probs.tobytes() == _scipy_levels(n, beta).tobytes(), n
+        ties += np.count_nonzero(probs == probs.max()) > 1
+    assert ties >= 10
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         magnetization_levels(0, 1.0)

@@ -116,6 +116,34 @@ def test_matrix_guard_accepts_benchmark_sizes_and_rejects_huge_ones():
         build_matrix(20000, Independent())
 
 
+def test_matrix_guard_counts_the_curie_weiss_level_table(monkeypatch):
+    import corrdiag._parallel as parallel
+    from corrdiag.spectra import run_ensemble
+
+    # n = 100: the matrix is 8n^2 = 80 000 bytes, and a Curie-Weiss build
+    # keeps level CDFs of lengths 1..n, 4n(n + 3) = 41 200 bytes more
+    monkeypatch.setattr(parallel, "MEMORY_GUARD", 100_000)
+    monkeypatch.setenv("CORRDIAG_THREADS", "1")
+    spins = []
+    monkeypatch.setattr(sampler, "sample_spins", lambda *args: spins.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory guard"):
+            build_matrix(100, CurieWeiss(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spins == [] and peak < 8 * 100**2
+    assert build_matrix(100, Equicorrelated(0.5)).shape == (100, 100)
+    # the shared term of an ensemble counts the table too: 17n^2 bytes a
+    # worker, 2520 bytes of histogram and moment rows, and the table
+    monkeypatch.setattr(parallel, "MEMORY_GUARD", 200_000)
+    with pytest.raises(ValueError, match="memory guard"):
+        run_ensemble(100, CurieWeiss(2.0), 1, seed=0)
+    assert spins == []
+    assert run_ensemble(100, Equicorrelated(0.5), 1, seed=0).n == 100
+
+
 @pytest.mark.parametrize("n, draws", [(200, 4000), (50, 1000)])
 def test_validate_conditions_peak_within_guard_estimate(monkeypatch, n, draws):
     import tracemalloc

@@ -21,6 +21,7 @@ from corrdiag.volumes import (
     _lattice_counts,
     _orbit_key,
     _rows_that_can_fail,
+    _totally_unimodular,
     exact_volume,
     lattice_count,
     lattice_polynomial,
@@ -341,19 +342,74 @@ def test_orbit_key_is_shared_by_rotations_and_the_reflection():
     assert _orbit_key(p) != _orbit_key(PairPartition.from_string("1-3,2-4,5-7,6-8"))
 
 
-def test_lattice_polynomial_raises_when_a_confirming_count_disagrees(monkeypatch):
-    # d = 4: the fit reads closed counts at t = 0..2 and interior ones at
-    # t = 1, 2; the closed and the interior count at t = 3 confirm it
-    p = PairPartition.from_string("1-3,2-5,4-6")
-    real = vol._lattice_counts
-    for tampered, shown in (((3, 0), "L(3)"), ((3, 1), "L(-3)")):
-        def counts(rows, sizes):
-            assert tampered in sizes
-            return [c + (size == tampered) for size, c in zip(sizes, real(rows, sizes))]
+# the odd cycle: its determinant is 2, so it is not totally unimodular
+ODD_CYCLE = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
-        monkeypatch.setattr(vol, "_lattice_counts", counts)
-        with pytest.raises(ArithmeticError, match=re.escape(shown)):
-            lattice_polynomial(p)
+
+def _minors_unimodular(matrix):
+    height, width = matrix.shape
+    return all(round(np.linalg.det(matrix[np.ix_(r, c)])) in (-1, 0, 1)
+               for size in range(1, min(height, width) + 1)
+               for r in itertools.combinations(range(height), size)
+               for c in itertools.combinations(range(width), size))
+
+
+def test_totally_unimodular_flags_the_odd_cycle_and_wide_entries():
+    assert not _totally_unimodular(ODD_CYCLE)
+    assert not _totally_unimodular(np.array([[1, 2, 0], [0, 1, 1]]))
+    assert _totally_unimodular(np.array([[1, 1, 0], [0, 1, 1]]))
+    assert _totally_unimodular(np.zeros((0, 4), dtype=np.int64))
+
+
+def test_totally_unimodular_agrees_with_the_minor_test_on_random_matrices():
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(300):
+        matrix = rng.integers(-1, 2, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
+        verdicts.append(_totally_unimodular(matrix))
+        assert verdicts[-1] == _minors_unimodular(matrix), matrix.tolist()
+    assert 50 < sum(verdicts) < 250  # both verdicts are exercised
+
+
+def test_every_orbit_through_k12_is_certified_totally_unimodular():
+    orbits = _orbits(12)
+    assert len(orbits) == 91 + 542
+    for p in orbits:
+        rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
+        assert _totally_unimodular(rows), p.canonical()
+        if p.k <= 10:
+            assert _minors_unimodular(rows), p.canonical()
+
+
+def test_lattice_polynomial_refuses_rows_that_are_not_totally_unimodular(monkeypatch):
+    monkeypatch.setattr(vol, "_rows_that_can_fail", lambda matrix: ODD_CYCLE.astype(matrix.dtype))
+    with pytest.raises(ArithmeticError, match=re.escape("1-3,2-4")):
+        lattice_polynomial(PairPartition.from_string("1-3,2-4"))
+
+
+@pytest.mark.parametrize("canonical", ["1-6,2-7,3-8,4-9,5-10", "1-7,2-8,3-9,4-10,5-11,6-12"])
+def test_lattice_count_peak_within_guard_estimate(monkeypatch, canonical):
+    import tracemalloc
+
+    from corrdiag._parallel import check_memory
+
+    estimates = []
+
+    def record(what, per_worker, shared=0, jobs=1):
+        estimates.append(per_worker + shared)
+        check_memory(what, per_worker, shared, jobs)
+
+    monkeypatch.setattr(vol, "check_memory", record)
+    p = PairPartition.from_string(canonical)
+    lattice_polynomial(p)  # first-call allocations out of the way
+    vol._grid.cache_clear()  # the grid is counted: build it under the trace
+    tracemalloc.start()
+    try:
+        lattice_polynomial(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.7 * estimates[-1] <= peak <= estimates[-1], (peak, estimates[-1])
 
 
 def test_monte_carlo_volumes_agree_with_exact():
