@@ -75,7 +75,8 @@ def _level_cdf(n: int, beta: float) -> np.ndarray:
 
     One CDF of n + 1 doubles is kept per (n, beta) asked for, for the life of
     the process: building a size-n matrix stores lengths 1..n, about n^2/2
-    doubles per beta (3.8 MB at n = 1000).
+    doubles per beta (3.8 MB at n = 1000), which the memory guard counts
+    (`sampler._kept_bytes`).
     """
     probs = magnetization_levels(n, beta).probs
     cdf = np.cumsum(probs)

@@ -9,7 +9,7 @@ numbers (the semicircle moments).  Odd moments vanish.
 The volumes are exact (`volumes.exact_volume`), so m_k(c) is a polynomial
 in c with rational coefficients, built once per k and kept for the life of
 the process.  Orders above EXACT_MAX_K are refused: order 14 takes about
-2.5 minutes at one thread, order 16 would take hours.
+40 seconds at one thread, order 16 would take hours.
 """
 
 from __future__ import annotations

@@ -157,6 +157,7 @@ def test_validate_conditions_peak_within_guard_estimate(monkeypatch, n, draws):
         check_memory(what, need, shared, jobs)
 
     monkeypatch.setattr(sampler, "check_memory", record)
+    validate_conditions(Independent(), 3, draws=1000)  # lazy scipy.special import out of the trace
     for gen in (Equicorrelated(0.5), CurieWeiss(2.0)):
         tracemalloc.start()
         try:

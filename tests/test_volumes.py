@@ -449,7 +449,7 @@ def test_cache_ensure_reuses_without_resampling(tmp_path):
 
 
 # a fixed sample of k = 14 orbits, drawn once as random pairings; m14's full
-# fit (5256 orbits) takes about 2.5 minutes, these about half a second
+# fit (5256 orbits) takes about 40 seconds, these about half a second
 K14_SAMPLE = (
     "1-8,2-10,3-7,4-9,5-6,11-12,13-14", "1-4,2-12,3-6,5-8,7-11,9-14,10-13",
     "1-6,2-4,3-9,5-14,7-8,10-13,11-12", "1-6,2-11,3-14,4-5,7-12,8-10,9-13",
