@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import check_memory, parallel_map
-from .partitions import PairPartition, is_crossing
+from .partitions import PairPartition, _dihedral_images, _text, is_crossing
 from .spectra import write_lines
 
 DEFAULT_SAMPLES = 200_000  # Monte Carlo points per `toeplitz_volume` by default
@@ -102,25 +103,25 @@ def solve_partition_system(p: PairPartition) -> SolvedSystem:
     already resolved, so the elimination is triangular.
     """
     k = p.k
-    resolved: dict[int, np.ndarray] = {}
+    resolved: dict[int, list[int]] = {}
 
-    def expand(v: int) -> np.ndarray:
-        if v in resolved:
-            return resolved[v].copy()
-        e = np.zeros(k + 1, dtype=np.int64)
-        e[v] = 1
-        return e
+    def expand(v: int) -> list[int]:
+        row = resolved.get(v)
+        if row is None:
+            row = [0] * (k + 1)
+            row[v] = 1
+        return row
 
     for i, j in sorted(p.blocks, key=lambda block: block[1]):
         # x_j = x_{j-1} + x_{i-1} - x_i
-        resolved[j] = expand(j - 1) + expand(i - 1) - expand(i)
+        resolved[j] = [a + b - c for a, b, c in zip(expand(j - 1), expand(i - 1), expand(i))]
 
     free = tuple(v for v in range(k + 1) if v not in resolved)
     determined = []
     for j in sorted(resolved):
         row = resolved[j]
         assert all(row[d] == 0 for d in resolved), "elimination left a resolved index"
-        determined.append((j, tuple(int(row[v]) for v in free)))
+        determined.append((j, tuple(row[v] for v in free)))
     return SolvedSystem(k, free, tuple(determined))
 
 
@@ -174,6 +175,19 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
     return VolumeEstimate(value, std_error, samples, seed, False)
 
 
+@lru_cache(maxsize=None)
+def _signings(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sigma in {-1, 0, 1}^count as a row of a read-only int64
+    (3^count, count) array, with each row's support as a bitmask.  One entry
+    per row count met, at most k/2 (122 kB of signings at count 7)."""
+    signings = np.array(list(itertools.product((-1, 0, 1), repeat=count)),
+                        dtype=np.int64).reshape(3**count, count)
+    supports = (signings != 0) @ (1 << np.arange(count))
+    for array in (signings, supports):
+        array.flags.writeable = False
+    return signings, supports
+
+
 def _totally_unimodular(rows: np.ndarray) -> bool:
     """Ghouila-Houri's test (Ghouila-Houri 1962; Schrijver, *Theory of Linear
     and Integer Programming*, ch. 19): an integer matrix is totally unimodular
@@ -181,13 +195,16 @@ def _totally_unimodular(rows: np.ndarray) -> bool:
     lies in {-1, 0, 1} in every column.  All 3^R signings sigma in {-1, 0, 1}^R
     are tried at once; one with |sigma . rows| <= 1 in every column serves
     the subset where it is nonzero, and each of the 2^R subsets needs one.
-    No rows is totally unimodular."""
+    No rows is totally unimodular.  The signings come from `_signings`."""
     count = len(rows)
-    signings = np.array(list(itertools.product((-1, 0, 1), repeat=count)),
-                        dtype=np.int64).reshape(3**count, count)
+    signings, supports = _signings(count)
     kept = np.abs(signings @ rows).max(axis=1, initial=0) <= 1
-    supports = (signings[kept] != 0) @ (1 << np.arange(count))
-    return bool(np.bincount(supports, minlength=1 << count).all())
+    return bool(np.bincount(supports[kept], minlength=1 << count).all())
+
+
+# held while a count fetches its grid, so workers fitting orbits of one
+# order at once build it once
+_GRID_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=1)
@@ -200,6 +217,13 @@ def _grid(dims: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for array in grid:
         array.flags.writeable = False
     return grid
+
+
+def _count_bytes(dims: int, top: int, rows: int) -> tuple[int, int]:
+    """Bytes of one `_lattice_counts` call with ``rows`` rows on {0..top}^dims:
+    its own arrays, and the grid it shares with every count of its order."""
+    points = (top + 1) ** dims
+    return points * (4 * (rows + 2) + 27), points * 4 * (dims + 2)
 
 
 def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
@@ -217,11 +241,11 @@ def _lattice_counts(rows: np.ndarray, sizes) -> list[int]:
     float32 and one int64 temporary, three masks and a masked int64 copy.
     """
     dims, top = rows.shape[1], max(t for t, _ in sizes)
-    points = (top + 1) ** dims
     check_memory(f"a k={2 * (dims - 1)} lattice count up to t={top}",
-                 points * (4 * (dims + len(rows) + 4) + 27))
+                 sum(_count_bytes(dims, top, len(rows))))
     assert np.abs(rows).sum(axis=1, initial=0).max(initial=0) * top < 2**24, "float32 sums inexact"
-    grid, largest, smallest = _grid(dims, top)
+    with _GRID_LOCK:
+        grid, largest, smallest = _grid(dims, top)
     sums = rows.astype(np.float32) @ grid
     reach = np.maximum(sums.max(axis=0, initial=0), largest).astype(np.int64)
     low = sums.min(axis=0, initial=np.inf)
@@ -257,6 +281,13 @@ def _evaluate(coefficients: tuple[Fraction, ...], t: int) -> Fraction:
     return sum(c * t**i for i, c in enumerate(coefficients))
 
 
+def _window(k: int) -> tuple[int, int]:
+    """How far the fit window of order k reaches below and above t = 0:
+    floor(d/2) and ceil(d/2), d = k/2 + 1."""
+    degree = k // 2 + 1
+    return degree // 2, degree - degree // 2
+
+
 def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     """Ehrhart polynomial L(t) of the volume's polytope P, constant first.
 
@@ -275,7 +306,7 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     the window is taken.
     """
     degree = p.k // 2 + 1
-    below, above = degree // 2, degree - degree // 2
+    below, above = _window(p.k)
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix()).astype(np.int64)
     if not _totally_unimodular(rows):
         raise ArithmeticError(f"the rows of {p.canonical()} are not totally unimodular, so its "
@@ -287,41 +318,28 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     return _fit_polynomial(window, start=-below)
 
 
-# canonical form of a partition -> its orbit's key, filled an orbit at a time
-_ORBIT_KEYS: dict[str, str] = {}
-
-
 def _orbit_key(p: PairPartition) -> str:
     """Canonical form of one representative of p's orbit under the dihedral
     group: rotations i -> i + r (mod k) and the reflection i -> k + 1 - i.
-    The representative has the least partner list (partner of 1, 2, ..., k).
-    The first member met of an orbit computes all 2k images and records each
-    image's canonical form against the key, for the life of the process."""
-    key = _ORBIT_KEYS.get(p.canonical())
-    if key is not None:
-        return key
-    k = p.k
-    partner = [0] * k
-    for a, b in p.blocks:
-        partner[a - 1], partner[b - 1] = b - 1, a - 1
-    images = []
-    for start in (range(k), range(k - 1, -1, -1)):
-        for r in range(k):
-            move = [(i + r) % k for i in start]
-            image = [0] * k
-            for i in range(k):
-                image[move[i]] = move[partner[i]]
-            images.append(image)
-    texts = [",".join(f"{i + 1}-{j + 1}" for i, j in enumerate(image) if i < j)
-             for image in images]
-    key = texts[images.index(min(images))]
-    _ORBIT_KEYS.update(dict.fromkeys(texts, key))
-    return key
+    The representative has the least partner tuple (partner of 1, 2, ..., k)
+    among `_dihedral_images`."""
+    return _text(min(_dihedral_images(p.partner())))
 
 
 @lru_cache(maxsize=None)
 def _orbit_polynomial(key: str) -> tuple[Fraction, ...]:
     return lattice_polynomial(PairPartition.from_string(key))
+
+
+def orbit_volumes(k: int, keys: list[str]) -> list[Fraction]:
+    """Exact volumes of the crossing dihedral orbits of order k whose
+    `_orbit_key`s are ``keys``, in order: each orbit's polynomial is fitted
+    once and kept, the fits run through `parallel_map`.  The memory guard
+    counts, per worker, one `_lattice_counts` call's arrays for k/2 rows,
+    and once the grid the calls share (15.6 MB at k = 14)."""
+    per_worker, grid = _count_bytes(k // 2 + 1, _window(k)[1], k // 2)
+    check_memory(f"the k={k} orbit fits", per_worker, grid, jobs=len(keys))
+    return parallel_map(lambda key: _orbit_polynomial(key)[-1], keys)
 
 
 def lattice_count(p: PairPartition, t: int) -> int:

@@ -50,6 +50,6 @@ def test_oracle_imports_nothing_from_volumes():
 def test_moments_import_no_monte_carlo():
     # every limiting moment is exact: no sampled volume, seed or sampler stream
     names = _relative_imports("moments")
-    assert names["volumes"] == {"exact_volume"}
+    assert names["volumes"] == {"orbit_volumes"}
     assert names["sampler"] <= {"CurieWeiss", "Equicorrelated", "GeneratorSpec",
                                 "Independent", "Toeplitz"}

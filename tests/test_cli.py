@@ -434,3 +434,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "corrdiag" in capsys.readouterr().out
+
+
+def test_partitions_memory_guard_exits_before_allocating(tmp_path, capsys):
+    import tracemalloc
+
+    target = tmp_path / "d"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "partitions", "--k", "16", "--out", str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "memory guard" in err
+    assert not target.exists()
+    assert peak < 2**22  # the 2,027,025 pairings would need over a gigabyte

@@ -2,22 +2,26 @@
 up to EXACT_MAX_K."""
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corrdiag import volumes
 from corrdiag.cli import main
 from corrdiag.moments import (
     EXACT_MAX_K,
+    _orbit_walk,
     catalan,
     closed_form_moments,
     exact_moment_polynomial,
     limiting_moment,
 )
-from corrdiag.partitions import PairPartition
+from corrdiag.partitions import PairPartition, _dihedral_images, enumerate_pair_partitions, height
 from corrdiag.sampler import Equicorrelated
-from corrdiag.volumes import DEFAULT_SAMPLES, toeplitz_volume
+from corrdiag.volumes import DEFAULT_SAMPLES, exact_volume, toeplitz_volume
 
 # sixth moment at full correlation, frozen from the exact per-partition table:
 # five volume-one terms + six weight-one terms of volume 2/3 + four of volume 1/2
@@ -122,3 +126,53 @@ def test_non_finite_correlation_rejected(capsys):
 
 def test_default_sample_budget_sane():
     assert DEFAULT_SAMPLES >= 10_000
+
+
+def test_orbit_walk_partitions_the_pairings():
+    for k in range(2, 13, 2):
+        pairings = [p.partner() for p in enumerate_pair_partitions(k)]
+        met, tallied = Counter(), 0
+        for members, tally in _orbit_walk(k):
+            assert (2 * k) % len(members) == 0
+            assert sum(tally) == len(members)
+            some = next(iter(members))
+            assert set(_dihedral_images(some)) == members
+            met.update(members)
+            tallied += sum(tally)
+        assert tallied == len(pairings) == math.prod(range(1, k, 2))
+        assert set(met) == set(pairings) and set(met.values()) == {1}, k
+
+
+def test_exact_moment_polynomial_equals_the_per_pairing_sum():
+    for k in range(2, 11, 2):
+        plain = [Fraction(0)] * (k // 2 + 1)
+        for p in enumerate_pair_partitions(k):
+            plain[k // 2 - height(p)] += exact_volume(p)
+        assert exact_moment_polynomial(k) == tuple(plain), k
+
+
+def test_exact_moment_polynomial_identical_across_thread_counts(monkeypatch):
+    # the orbit fits run on parallel_map workers; Fraction sums are exact
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CORRDIAG_THREADS", threads)
+        exact_moment_polynomial.cache_clear()
+        volumes._orbit_polynomial.cache_clear()
+        results.append([exact_moment_polynomial(k) for k in range(2, 11, 2)])
+    assert results[0] == results[1]
+
+
+def test_orbit_fits_on_more_threads_than_cores_build_one_grid(monkeypatch):
+    # workers share the fitted-orbit cache and the counting grid; a grid built
+    # twice would show as a second cache miss
+    monkeypatch.setenv("CORRDIAG_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        exact_moment_polynomial.cache_clear()
+        volumes._orbit_polynomial.cache_clear()
+        volumes._grid.cache_clear()
+        assert exact_moment_polynomial(10) == tuple(map(Fraction, EXACT_POLYNOMIALS[10]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert volumes._grid.cache_info().misses == 1

@@ -1,5 +1,6 @@
 """Pair-partition enumeration, crossing detection, and heights."""
 
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, strategies as st
 
 from corrdiag.partitions import (
     PairPartition,
+    _dihedral_images,
+    _from_partner,
+    _pairings,
     enumerate_pair_partitions,
     height,
     is_crossing,
@@ -93,3 +97,53 @@ def test_enumeration_is_sorted_and_unique():
         canon = [p.canonical() for p in enumerate_pair_partitions(k)]
         assert canon == sorted(canon)
         assert len(set(canon)) == len(canon)
+
+
+def _crossing_by_blocks(p):
+    # two blocks a < c < b < d interleave
+    return any(a < c < b < d for (a, b), (c, d) in itertools.permutations(p.blocks, 2))
+
+
+def _height_by_windows(p):
+    # a block counts when every element strictly inside it pairs inside it
+    mate = {x: y for a, b in p.blocks for x, y in ((a, b), (b, a))}
+    return sum(all(a < mate[x] < b for x in range(a + 1, b)) for a, b in p.blocks)
+
+
+def test_partner_tuple_height_and_crossing_match_the_block_definitions():
+    for k in range(2, 11, 2):
+        for p in enumerate_pair_partitions(k):
+            assert is_crossing(p) == _crossing_by_blocks(p), p.canonical()
+            assert height(p) == _height_by_windows(p), p.canonical()
+            assert p.partner()[p.blocks[0][0] - 1] == p.blocks[0][1] - 1
+
+
+def test_partner_tuples_enumerate_in_block_list_order():
+    for k in (2, 4, 6, 8):
+        assert [_from_partner(partner) for partner in _pairings(k)] == enumerate_pair_partitions(k)
+
+
+def test_dihedral_images_are_the_rotations_and_reflections():
+    p = PairPartition.from_string("1-3,2-6,4-7,5-8")
+    k = p.k
+    images = _dihedral_images(p.partner())
+    assert len(images) == 2 * k and images[0] == p.partner()
+    expected = set()
+    for r in range(k):
+        for flip in (False, True):
+            moved = [tuple(sorted(((k - x if flip else x - 1) + r) % k + 1 for x in block))
+                     for block in p.blocks]
+            expected.add(PairPartition(k, tuple(sorted(moved))).partner())
+    assert set(images) == expected
+    # the symmetric pairing 1-2,3-4 has only two distinct images
+    assert len(set(_dihedral_images(PairPartition.from_string("1-2,3-4").partner()))) == 2
+
+
+def test_enumeration_memory_guard_admits_k12_and_refuses_k16():
+    from corrdiag import _parallel
+
+    assert _parallel.MEMORY_GUARD == 2**30
+    for k in range(2, 13, 2):
+        enumerate_pair_partitions(k)
+    with pytest.raises(ValueError, match="memory guard"):
+        enumerate_pair_partitions(16)
