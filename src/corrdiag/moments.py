@@ -6,10 +6,11 @@ each partition contributes its cube-section volume times c raised to
 they contribute exactly 1 each and the c = 0 moments collapse to Catalan
 numbers (the semicircle moments).  Odd moments vanish.
 
-The volumes are exact (`volumes.exact_volume`), so m_k(c) is a polynomial
-in c with rational coefficients, built once per k and kept for the life of
-the process.  Orders above EXACT_MAX_K are refused: order 14 takes about
-40 seconds at one thread, order 16 would take hours.
+The volumes are exact (`volumes.orbit_volumes`), so m_k(c) is a
+polynomial in c with rational coefficients, built once per k and kept for
+the life of the process.  Orders above EXACT_MAX_K are refused: order 12
+takes about 1.1 seconds, order 14 45-55 seconds at one thread and 20-25 at
+two (CORRDIAG_THREADS=2, on a 2-core machine), order 16 would take hours.
 """
 
 from __future__ import annotations

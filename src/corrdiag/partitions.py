@@ -93,13 +93,6 @@ def _from_partner(partner: tuple[int, ...]) -> PairPartition:
     return PairPartition(len(partner), tuple((i + 1, j + 1) for i, j in enumerate(partner) if i < j))
 
 
-def _pairing_bytes(k: int) -> int:
-    """Bytes one cached PairPartition of {1,...,k} holds with its blocks and
-    its slots in the cache and the returned list: 32 a ground-set element
-    over a fixed 144 (tracemalloc: 527 at k = 12, 591 at k = 14)."""
-    return 144 + 32 * k
-
-
 def _text(partner: tuple[int, ...]) -> str:
     """`PairPartition.canonical` of the pairing with this partner tuple."""
     return ",".join(f"{i + 1}-{j + 1}" for i, j in enumerate(partner) if i < j)
@@ -108,6 +101,13 @@ def _text(partner: tuple[int, ...]) -> str:
 @lru_cache(maxsize=None)
 def _all_pairings(k: int) -> tuple[PairPartition, ...]:
     return tuple(map(_from_partner, _pairings(k)))
+
+
+def _pairing_bytes(k: int) -> int:
+    """Bytes one cached PairPartition of {1,...,k} holds with its blocks and
+    its slots in the cache and the returned list: 32 a ground-set element
+    over a fixed 144 (tracemalloc: 527 at k = 12, 591 at k = 14)."""
+    return 144 + 32 * k
 
 
 def enumerate_pair_partitions(k: int) -> list[PairPartition]:

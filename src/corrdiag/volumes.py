@@ -20,7 +20,11 @@ its leading coefficient is the volume.  L(t) at t = n - 1 is also the
 number of walks on n sites that solve the partition's cancellation system
 (`lattice_count`).  One cache per dihedral orbit keeps the fitted
 polynomial: `exact_volume` reads its leading coefficient and
-`lattice_count` evaluates it at t.  The counter walks the grid of all
+`lattice_count` evaluates it at t.  A moment coefficient sums, over the
+dihedral orbits, the integer tally of the orbit's pairings of one height
+times the orbit's volume (`moments.exact_moment_polynomial`); the crossing
+orbits of one order are fitted on `parallel_map` workers
+(`orbit_volumes`).  The counter walks the grid of all
 k/2 + 1 free variables on {0..t} once and histograms each point's reach,
 the largest of its coordinates and row sums.  It counts the interior of tP
 too (every free variable and row sum in {1..t-1}), and Ehrhart-Macdonald
@@ -195,7 +199,7 @@ def _totally_unimodular(rows: np.ndarray) -> bool:
     lies in {-1, 0, 1} in every column.  All 3^R signings sigma in {-1, 0, 1}^R
     are tried at once; one with |sigma . rows| <= 1 in every column serves
     the subset where it is nonzero, and each of the 2^R subsets needs one.
-    No rows is totally unimodular.  The signings come from `_signings`."""
+    No rows is totally unimodular."""
     count = len(rows)
     signings, supports = _signings(count)
     kept = np.abs(signings @ rows).max(axis=1, initial=0) <= 1

@@ -66,7 +66,7 @@ def test_fourth_moment_full_correlation():
 
 
 def test_moments_increase_with_correlation():
-    # order 14 takes about 40 seconds to fit, so the computed orders stop at 12
+    # order 14 takes 45-55 seconds to fit at one thread, so the computed orders stop at 12
     for k in range(4, 13, 2):
         values = [limiting_moment(k, c) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert values == sorted(set(values)), k
