@@ -133,10 +133,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    overrides = json.loads(args.tolerances) if args.tolerances else None
     numbers = tuple(args.criteria) if args.criteria else None
     out_dir = args.out if args.out is not None else Path("corrdiag_out")
-    results = run_acceptance(numbers, overrides, seed=args.seed, out_dir=out_dir)
+    results = run_acceptance(numbers, seed=args.seed, out_dir=out_dir)
     for result in results:
         print(result.headline())
         for line in result.details:
@@ -218,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run acceptance criteria; exit 0 only if all pass")
     p.add_argument("--criteria", type=int, nargs="+", default=None,
                    help="criterion numbers to run (default: all)")
-    p.add_argument("--tolerances", type=str, default=None,
-                   help="JSON object overriding tolerance/scale entries")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None, help="directory for emitted CSVs")
     p.set_defaults(func=cmd_verify)
@@ -231,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,13 +25,18 @@ import numpy as np
 MAX_SPINS = 100_000
 
 
+def check_beta(beta: float) -> None:
+    """Reject an inverse temperature that is not finite and > 0 (NaN included)."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"inverse temperature must be finite and > 0, got {beta}")
+
+
 def _check_params(n: int, beta: float) -> None:
     if n < 1:
         raise ValueError(f"spin count must be >= 1, got {n}")
     if n > MAX_SPINS:
         raise ValueError(f"spin count {n} exceeds the O(n) summation cap {MAX_SPINS}")
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be > 0, got {beta}")
+    check_beta(beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +109,7 @@ def spontaneous_magnetization(beta: float) -> float:
     any other becomes hi, until lo and hi are adjacent doubles.  hi is
     returned, so tanh(beta*m) - m changes sign within one ulp below it.
     """
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be > 0, got {beta}")
+    check_beta(beta)
     if beta <= 1.0:
         return 0.0
     lo, hi = 0.0, 1.0

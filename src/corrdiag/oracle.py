@@ -532,7 +532,7 @@ def _decay_flags(ratios: list[float]) -> dict:
             "pass": zero or decreasing}
 
 
-def check_grid(n_grid: tuple[int, ...]) -> None:
+def _check_grid(n_grid: tuple[int, ...]) -> None:
     """The decay checks read their ratios along growing n: reject a grid
     of fewer than two sizes or one that is not strictly increasing."""
     if len(n_grid) < 2:
@@ -544,7 +544,7 @@ def check_grid(n_grid: tuple[int, ...]) -> None:
 def check_sn_minus_snstar_decay(n_grid: tuple[int, ...], k: int) -> dict:
     """Matched-but-not-opposed walks, normalized by n^(k/2+1), along a size grid;
     each partition is judged by `_decay_flags`."""
-    check_grid(n_grid)
+    _check_grid(n_grid)
     censuses = {n: walk_census(n, k) for n in n_grid}
     report = {"n_grid": tuple(n_grid), "k": k, "partitions": {}}
     for p in enumerate_pair_partitions(k):
@@ -565,7 +565,7 @@ def check_excess_crossing_decay(
     the partition.  Ratios identically zero mean the tie is impossible at
     every size, which satisfies the bound exactly.
     """
-    check_grid(n_grid)
+    _check_grid(n_grid)
     if block not in p.blocks:
         raise ValueError(f"{block} is not a block of {p.canonical()}")
     if not any(blocks_cross(block, other) for other in p.blocks):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import check_memory
-from .curie_weiss import pair_correlation, sample_spins
+from .curie_weiss import check_beta, pair_correlation, sample_spins
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class CurieWeiss:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"inverse temperature must be > 0, got {self.beta}")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,8 @@ def run_ensemble(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     lo, hi = hist_range
-    if not lo < hi:
-        raise ValueError(f"histogram range must be increasing, got {hist_range}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"histogram range must be finite and increasing, got {hist_range}")
     check_memory(f"n={n}, {realizations} realization(s) of {bins} bins",
                  17 * n * n + 16 * (bins + 1),
                  8 * ((realizations + 2) * (bins + 1) + 2 * realizations * kmax)

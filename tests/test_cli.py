@@ -359,68 +359,56 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("moments", "--k", "0"),
     ("oracle", "--n", "5", "--k", "0"),
     ("oracle", "--n", "5", "--k", "3"),
-    ("verify", "--criteria", "7", "--tolerances", '{"oracle_k4_n": 0}'),
-    ("verify", "--criteria", "7", "--tolerances", '{"oracle_k6_n": -3}'),
     ("moments", "--k", "16"),
+    ("curie-weiss", "--beta", "nan", "--n", "10"),
+    ("curie-weiss", "--beta", "0.5", "inf", "--n", "10"),
+    ("simulate", "--generator", "curie-weiss", "--beta", "nan", "--n", "5", "--realizations", "2"),
+    ("simulate", "--generator", "curie-weiss", "--beta", "inf", "--n", "5", "--realizations", "2"),
+    ("simulate", "--n", "20", "--realizations", "2", "--range", "0", "inf"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2 and out == "" and err.startswith("error:")
     assert not target.exists()
-    if "--tolerances" in argv:  # the message names the bad tolerance
-        assert all(key in err for key in json.loads(argv[argv.index("--tolerances") + 1]))
 
 
-def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys):
+def test_verify_reports_failure_on_tampered_tolerance(tmp_path, capsys, monkeypatch):
     # tighten the k=4 ratio gap beyond reach: verify must fail loudly, not adapt
-    overrides = json.dumps({"oracle_k4_gap": 1e-9, "oracle_k6_n": 4, "oracle_k4_n": 10,
-                            "cell_bound_max_n": 3, "volume_samples": 2000,
-                            "decay_grid_k4": [6, 8, 10], "decay_grid_k6": [8, 10, 12],
-                            "tie_k6": ["1-3,2-5,4-6", [1, 3]]})
-    code, out, _ = run_cli(capsys, "verify", "--criteria", "7",
-                           "--tolerances", overrides, "--out", str(tmp_path))
+    for key, value in {"oracle_k4_gap": 1e-9, "oracle_k6_n": 4, "oracle_k4_n": 10,
+                       "cell_bound_max_n": 3, "volume_samples": 2000,
+                       "decay_grid_k4": (6, 8, 10), "decay_grid_k6": (8, 10, 12),
+                       "tie_k6": ("1-3,2-5,4-6", (1, 3))}.items():
+        monkeypatch.setitem(acceptance.TOLERANCES, key, value)
+    code, out, _ = run_cli(capsys, "verify", "--criteria", "7", "--out", str(tmp_path))
     assert code == 1
     assert "FAIL criterion 7" in out
 
 
-def test_verify_rejects_a_decreasing_decay_grid(tmp_path, capsys, monkeypatch):
-    started = []
-    monkeypatch.setitem(acceptance._CRITERIA, 7, lambda *args: started.append(7))
-    code, out, err = run_cli(capsys, "verify", "--criteria", "7",
-                             "--tolerances", '{"decay_grid_k4": [40, 20, 10]}',
-                             "--out", str(tmp_path))
-    assert code == 2 and out == "" and started == []
-    assert "decay_grid_k4" in err and "strictly increasing" in err
-
-
-@pytest.mark.parametrize("argv,named", [
-    (("--criteria", "2", "--tolerances", '{"se_band": "x"}'), "se_band"),
-    (("--criteria", "7", "--tolerances", '{"cell_bound_max_n": 4.0}'), "cell_bound_max_n"),
-    (("--criteria", "3", "--tolerances", '{"moment_c_grid": 0.5}'), "moment_c_grid"),
-    (("--criteria", "3", "9", "--tolerances", '{"tie_k4": ["1-3,2-4", [1, true]]}'), "tie_k4"),
-    (("--criteria", "3", "9", "--seed", "-1"), "seed"),
-    # grids shorter than their criterion reads
-    (("--criteria", "4", "--tolerances", '{"figure_c_grid": []}'), "figure_c_grid"),
-    (("--criteria", "6", "--tolerances", '{"cw_ladder": []}'), "cw_ladder"),
-    (("--criteria", "1", "8", "--tolerances", '{"concentration_grid": [50]}'), "concentration_grid"),
-])
-def test_verify_rejects_a_mistyped_override_or_seed_before_any_criterion(
-        tmp_path, capsys, monkeypatch, argv, named):
+def _stub_criteria(monkeypatch) -> list:
     started = []
     for number in acceptance._CRITERIA:
         monkeypatch.setitem(acceptance._CRITERIA, number, lambda *args: started.append(args))
-    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "d"))
-    assert code == 2 and out == "" and started == []
-    assert err.startswith("error:") and named in err
+    return started
+
+
+def test_verify_refuses_a_tolerances_option(tmp_path, capsys, monkeypatch):
+    # the criteria run as stated: the parser knows no override
+    started = _stub_criteria(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--criteria", "1", "--tolerances", "{}", "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2 and started == []
+    assert "--tolerances" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
-def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "verify", "--criteria", "1",
-                           "--tolerances", '{"no_such_key": 1}', "--out", str(tmp_path))
-    assert code == 2
-    assert "unknown tolerance" in err
+def test_verify_rejects_a_negative_seed_before_any_criterion(tmp_path, capsys, monkeypatch):
+    started = _stub_criteria(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--criteria", "3", "9", "--seed", "-1",
+                             "--out", str(tmp_path / "d"))
+    assert code == 2 and out == "" and started == []
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_error_exit_code_is_two(capsys):

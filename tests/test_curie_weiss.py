@@ -13,6 +13,7 @@ from corrdiag.curie_weiss import (
     sample_spins,
     spontaneous_magnetization,
 )
+from corrdiag.sampler import CurieWeiss
 
 # frozen from a high-precision fixed-point solve of m = tanh(2m)
 M_BETA2 = 0.9575040240772687
@@ -155,3 +156,13 @@ def test_rejects_bad_arguments():
         magnetization_levels(10, -0.5)
     with pytest.raises(ValueError):
         spontaneous_magnetization(-1.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_rejects_a_non_finite_beta(beta):
+    for call in (lambda: CurieWeiss(beta), lambda: magnetization_levels(10, beta),
+                 lambda: pair_correlation(10, beta), lambda: spontaneous_magnetization(beta),
+                 lambda: limiting_correlation(beta),
+                 lambda: sample_spins(10, beta, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call()
