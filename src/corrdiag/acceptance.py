@@ -19,9 +19,10 @@ Calibration notes baked into the defaults:
   is empty below n=7 and its normalized ratio peaks near n=13, so the
   grid starts at 14; the k=4 excess is empty at every size (the bound
   holds exactly) and is reported as such.  Cell-tie ratios at k=6 decay
-  too slowly to halve within the n^k cost guard, so the acceptance check
-  is strict monotone decrease, and the k=6 tie example uses a block with
-  nonzero counts.
+  slowly: the `tie_k6` ratio is 0.055 at n=14 and first falls below half
+  that at n=33, near n=39, the largest k=6 census the cost guard admits.
+  So the acceptance check is strict monotone decrease, and the k=6 tie
+  check uses a block with nonzero counts.
 * Ratio clauses (k=4 at n=40, k=6 at n=10) compare the solution count of
   each partition's cancellation system, normalized by n^(k/2+1): the walks
   with d_i = -d_j on every block, further |step| coincidences allowed.

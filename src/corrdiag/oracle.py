@@ -52,10 +52,7 @@ k/2 in all, and a walk's |step| mask equals at most one signature.  So one
 bit count keeps the walks whose mask has k/2 bits, one sorted lookup
 assigns each of those to its partition or to none, and `np.bincount`
 tallies every partition in that one pass.  Shared cells are worked out
-afterwards, for the opposed walks only.  The search for a walk below the
-cell bound scans the same slabs in order, reading each partition's walks
-off the rotations that carry scanned walks to it, and returns the first
-walk it finds.
+afterwards, for the opposed walks only.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ import numpy as np
 from ._parallel import check_memory, parallel_map, workers
 from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerate_pair_partitions, height
 
-COST_GUARD = 10**8
+COST_GUARD = 10**8  # most walks a census scans, n^(k-1)
 MASK_BITS = 63  # step pairs an int64 bitmask holds below its sign bit
 # Kept walks of the (p_2, ..., p_k) grid per slab, and the most walks of the
 # trailing block.  A census holds one slab per worker, so its memory stays a
@@ -155,13 +152,16 @@ def _census_bytes(n: int, k: int) -> int:
 
 def _check_cost(n: int, k: int) -> None:
     """Reject (n, k) before anything is allocated: a k with no pair
-    partitions, too many walks, too many step pairs for one bitmask, or more
-    census bytes, one slab per worker, than the memory guard allows."""
+    partitions, sites past int16, more scanned walks n^(k-1) than
+    `COST_GUARD`, too many step pairs for one bitmask, or more census
+    bytes, one slab per worker, than the memory guard allows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_ground_set(k)
-    if n**k > COST_GUARD:
-        raise ValueError(f"n^k = {n**k} exceeds the cost guard {COST_GUARD}")
+    if n >= 2**15:
+        raise ValueError(f"n={n}: the census's int16 sites and weights hold n < 2^15")
+    if n ** (k - 1) > COST_GUARD:
+        raise ValueError(f"n^(k-1) = {n ** (k - 1)} scanned walks exceed the cost guard {COST_GUARD}")
     pairs = k * (k - 1) // 2
     if pairs > MASK_BITS:
         raise ValueError(f"k={k} has {pairs} step pairs; a walk bitmask holds at most {MASK_BITS}")
@@ -365,11 +365,12 @@ def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray
     once; shared cells are worked out for the opposed walks only.
 
     ``np.bincount`` sums the other tallies' weights in float64.  Every sum
-    counts at most n^k <= COST_GUARD < 2^53 walks, so each is an exact
+    counts at most n^k walks, and `_check_cost` keeps n < 2^15 and
+    n^(k-1) <= COST_GUARD, so n^k < 2^15 * 10^8 < 2^53: each sum is an exact
     integer and is cast back to int64 without loss."""
     n, k = tail.n, tail.k
     rows, (eq, neg), trailing, span, every = _slab(tail, lo, hi)
-    weight = n - span  # int16: n^2 <= COST_GUARD keeps n below 2^15
+    weight = n - span  # int16: `_check_cost` keeps n below 2^15
     del span
     parts, pairs, half = len(signatures), k * (k - 1) // 2, k // 2
 
@@ -478,7 +479,12 @@ def _scale(n: int, k: int) -> int:
 
 
 def check_cell_bound(n: int, k: int) -> dict:
-    """Verify m >= height on every opposed walk of every pair partition; exact."""
+    """Verify m >= height on every opposed walk of every pair partition; exact.
+
+    Read off the census's shared-cell histograms.  Each violation names its
+    ``partition``, its ``height`` and its ``offending_cell_counts``: the
+    opposed walks with each m below the height.  ``ok`` is false when there
+    is any violation."""
     census = walk_census(n, k)
     violations = []
     for p in enumerate_pair_partitions(k):
@@ -490,37 +496,8 @@ def check_cell_bound(n: int, k: int) -> dict:
                 "partition": p.canonical(),
                 "height": floor,
                 "offending_cell_counts": bad,
-                "example": _find_low_cell_walk(n, k, p, floor),
             })
     return {"n": n, "k": k, "ok": not violations, "violations": violations}
-
-
-def _find_low_cell_walk(n: int, k: int, p: PairPartition, floor: int):
-    """First opposed walk of ``p`` with fewer than ``floor`` shared cells, as
-    1-based positions (p_1, ..., p_k), or None when there is none.
-
-    Every walk of p is a translate of roll(w, j) for a scanned walk w with
-    t(w) >= j of the partition that rotation j sends to p, and it shares
-    w's cell count.  The walks are tried in order of (slab column, j), an
-    order that does not depend on the slab width."""
-    ordered, signatures = _signatures(k)
-    slot_of = _rotations(k, signatures)[0]
-    # rotation j sends the partition in slot sources[j] to p
-    sources = np.argmax(slot_of == ordered.index(p.canonical()), axis=1)
-    tail = _trailing_block(n, k)
-    slabs = _slabs(n, k, tail.sites.shape[1])
-    for lo in slabs:
-        rows, (eq, neg), trailing = _slab(tail, lo, lo + slabs.step)[:3]
-        hits = []
-        for j, sig in enumerate(signatures[sources]):
-            walks = np.flatnonzero((trailing >= j) & (eq == sig) & ((neg & sig) == sig))
-            low = walks[_shared_cells(rows[:, walks])[1] < floor]
-            if low.size:
-                hits.append((int(low[0]), j))
-        if hits:
-            column, j = min(hits)
-            return tuple(int(x) + 1 for x in np.roll(rows[:, column], j))
-    return None
 
 
 def _decay_flags(ratios: list[float]) -> dict:

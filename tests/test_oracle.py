@@ -15,7 +15,6 @@ from corrdiag.oracle import (
     _add_pairs,
     _census_bytes,
     _check_cost,
-    _find_low_cell_walk,
     _mask_dtype,
     _pair_index,
     _rotations,
@@ -47,7 +46,10 @@ def test_k2_counts_exact():
 
 
 def test_partition_sum_identity():
-    for n, k in ((6, 4), (5, 6)):
+    # (110, 4) and (22, 6) have more than 10^8 walks but scan fewer: the
+    # cost guard bounds the n^(k-1) walks scanned, and each float64 tally
+    # stays exact
+    for n, k in ((6, 4), (5, 6), (110, 4), (22, 6)):
         assert walk_census(n, k).partition_sum_identity()
 
 
@@ -169,58 +171,27 @@ def _walk_profile(walk, k):
     return equal, reversed_, len(tied)
 
 
-def _search_key(walk, n):
-    """(column, j) of a walk with lowest site 0: it is roll(w, j) for the
-    scanned walk w that starts at its first 0, at column (w_2 ... w_k) base n."""
-    j = walk.index(0)
-    w = walk[j:] + walk[:j]
-    return sum(x * n ** (len(w) - 1 - i) for i, x in enumerate(w[1:], 1)), j
-
-
-def test_find_low_cell_walk_returns_checked_walk():
-    # the search scans the walks from p_1 = 0 and finds p's walks among the
-    # rotations roll(w, j), j <= t(w), of the partition rotation j sends to
-    # p; it returns the opposed walk of p below the floor with the least
-    # (slab column, j), translated to lowest site 1.  Brute force over all
-    # n^k walks: it finds a walk exactly when one exists, and the first.
-    for n, k in ((6, 4), (5, 6), (3, 4), (4, 6), (3, 8)):
-        profiles = {walk: _walk_profile(walk, k) for walk in itertools.product(range(n), repeat=k)}
-        for p in enumerate_pair_partitions(k):
-            blocks = {(a - 1, b - 1) for a, b in p.blocks}
-            opposed = {walk: shared for walk, (equal, reversed_, shared) in profiles.items()
-                       if equal == blocks and blocks <= reversed_}
-            for floor in sorted({0, height(p), height(p) + 1, min(opposed.values(), default=0) + 1}):
-                walk = _find_low_cell_walk(n, k, p, floor)
-                low = [w for w, shared in opposed.items() if shared < floor and min(w) == 0]
-                if not low:
-                    assert walk is None
-                    continue
-                first = min(low, key=lambda w: _search_key(w, n))
-                assert walk == tuple(x + 1 for x in first)
-                equal, reversed_, shared = _walk_profile(walk, k)
-                assert equal == blocks  # matched: the |step| pattern is exactly p
-                assert blocks <= reversed_  # opposed
-                assert shared < floor
-
-
-def test_cell_bound_violation_reports_checked_examples(monkeypatch, capsys):
+def test_cell_bound_violation_reports_census_counts(monkeypatch, capsys):
     # one more than every height: the opposed walks that meet the bound with
-    # equality now break it, so the report, its examples and the CLI's exit
-    # code all take the violation path
+    # equality now break it, so the report and the CLI's exit code take the
+    # violation path.  Each violation's counts are those of a plain count
+    # over all n^k walks of the opposed walks below the forced floor
     monkeypatch.setattr(oracle, "height", lambda p: height(p) + 1)
     for n, k in ((5, 4), (5, 6)):
-        report = check_cell_bound(n, k)
-        assert report["ok"] is False and report["violations"]
-        for violation in report["violations"]:
-            p = PairPartition.from_string(violation["partition"])
-            blocks = {(a - 1, b - 1) for a, b in p.blocks}
-            walk = violation["example"]
-            assert walk is not None and all(1 <= x <= n for x in walk)
+        partitions = {frozenset((a - 1, b - 1) for a, b in p.blocks): p
+                      for p in enumerate_pair_partitions(k)}
+        low = {p.canonical(): Counter() for p in partitions.values()}
+        for walk in itertools.product(range(n), repeat=k):
             equal, reversed_, shared = _walk_profile(walk, k)
-            assert equal == blocks and blocks <= reversed_
-            assert violation["height"] == height(p) + 1
-            assert shared < violation["height"]
-            assert shared in violation["offending_cell_counts"]
+            p = partitions.get(frozenset(equal))
+            if p is not None and equal <= reversed_ and shared < height(p) + 1:
+                low[p.canonical()][shared] += 1
+        report = check_cell_bound(n, k)
+        assert report["ok"] is False
+        assert {v["partition"]: v["offending_cell_counts"] for v in report["violations"]} == {
+            key: dict(counts) for key, counts in low.items() if counts}
+        for violation in report["violations"]:
+            assert violation["height"] == height(PairPartition.from_string(violation["partition"])) + 1
     assert main(["oracle", "--n", "5", "--k", "6", "--check-heights"]) == 1
     assert '"ok": false' in capsys.readouterr().out
 
@@ -312,6 +283,16 @@ def test_census_report_serializable():
 def test_cost_guard_rejects_huge_grids():
     with pytest.raises(ValueError):
         walk_census(200, 6)
+
+
+def test_cost_guard_bounds_scanned_walks_and_int16_sites():
+    # the census scans n^(k-1) walks, and its sites and n - span weights are
+    # int16: the largest n each guard admits, and one past it
+    for n, k in ((464, 4), (39, 6), (13, 8), (7, 10), (32767, 2)):
+        _check_cost(n, k)
+    for n, k in ((465, 4), (40, 6), (14, 8), (8, 10), (32768, 2)):
+        with pytest.raises(ValueError, match="cost guard" if n < 2**15 else "int16"):
+            _check_cost(n, k)
 
 
 def _brute_force_census(n, k):
@@ -539,23 +520,16 @@ def test_census_pinned_bytes(n, k):
     assert _census_digests(walk_census(n, k)) == (PINNED_CENSUS | PINNED_INT64_CENSUS)[(n, k)]
 
 
-def _low_cell_walks(n, k):
-    return [_find_low_cell_walk(n, k, p, height(p) + 1) for p in enumerate_pair_partitions(k)]
-
-
 @pytest.mark.parametrize("width", [7, 389, 4096, 5000])
 def test_census_invariant_to_slab_width(monkeypatch, width):
     # 389 walks is less than one p_2 row (n^(k-2) >= 400 walks) of every pinned
     # shape; 4096 divides some n^(k-1) exactly, 389 and 5000 divide none.  7
     # is below n at (20, 4), whose trailing block then has no axis; only that
     # shape runs at 7, where the other pinned shapes take thousands of slabs
-    searches = {(n, k): _low_cell_walks(n, k) for n, k in ((6, 4), (5, 6))}
     monkeypatch.setattr(oracle, "_SLAB", width)
     shapes = PINNED_CENSUS if width > 20 else {(20, 4): PINNED_CENSUS[(20, 4)]}
     for (n, k), pinned in shapes.items():
         assert _census_digests(walk_census.__wrapped__(n, k)) == pinned
-    for (n, k), walks in searches.items():
-        assert _low_cell_walks(n, k) == walks
 
 
 def test_census_sums_slabs_that_hold_no_candidate(monkeypatch):
