@@ -1,5 +1,10 @@
 """Worker threads and the one memory guard shared by every parallel loop.
 
+Share contract: `parallel_map` splits its jobs once, and worker w of
+count = workers(len(jobs)) gets the strided share jobs[w::count].  The
+function is called once per share, so each worker folds its own share and
+holds only what the function keeps for it: no future or result per job.
+
 Memory guard: an entry point whose arrays grow with its input states the
 bytes each worker holds and the bytes the call shares, and `check_memory`
 refuses it before anything is allocated when workers(jobs) * per_worker +
@@ -42,14 +47,14 @@ def check_memory(what: str, per_worker: int, shared: int = 0, jobs: int = 1) -> 
 
 
 def parallel_map(fn, jobs):
-    """Map fn over jobs on workers(len(jobs)) threads.
-
-    Results come back in job order, so aggregation downstream is
-    deterministic no matter how the work was scheduled.
-    """
-    jobs = list(jobs)
+    """fn of each share of the sequence ``jobs`` (module docstring), one
+    share per thread, with the results in share order.  The shares change
+    with the thread count, so callers combine the shares' results exactly
+    (integer sums, or rows written by job index) to keep their output
+    independent of it."""
     count = workers(len(jobs))
+    shares = [jobs[w::count] for w in range(count)]
     if count <= 1:
-        return [fn(job) for job in jobs]
+        return [fn(share) for share in shares]
     with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, jobs))
+        return list(pool.map(fn, shares))

@@ -130,7 +130,7 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(1, k, 2)) if k > 1 else 1
 
 
-def criterion_1(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_1(seed: int, out_dir: Path) -> CriterionResult:
     """Exact pair-partition combinatorics for even k up to 12."""
     details, ok = [], True
     for k in range(2, 13, 2):
@@ -148,12 +148,13 @@ def criterion_1(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(1, "pair-partition counts, Catalan counts, height equivalence", ok, details)
 
 
-def criterion_2(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_2(seed: int, out_dir: Path) -> CriterionResult:
     """Monte Carlo volume of the canonical interleaving, plus exact non-crossing volumes."""
     details, ok = [], True
-    est = toeplitz_volume(PairPartition.from_string("1-3,2-4"), tol["volume_samples"], tol["volume_seed"])
+    est = toeplitz_volume(PairPartition.from_string("1-3,2-4"), TOLERANCES["volume_samples"],
+                          TOLERANCES["volume_seed"])
     gap = abs(est.value - 2.0 / 3.0)
-    band = tol["se_band"] * est.std_error
+    band = TOLERANCES["se_band"] * est.std_error
     ok &= gap <= band
     details.append(
         f"volume(1-3,2-4) = {est.value:.6f} (SE {est.std_error:.2e}), "
@@ -171,15 +172,15 @@ def criterion_2(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(2, "cube-section volume correctness at k=4", ok, details)
 
 
-def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_3(seed: int, out_dir: Path) -> CriterionResult:
     """Moment formula: order-2 exact, order-4 closed form, Catalan at c=0, odd zero."""
     details, ok = [], True
 
-    exact2 = all(limiting_moment(2, c) == 1.0 for c in tol["moment_c_grid"])
+    exact2 = all(limiting_moment(2, c) == 1.0 for c in TOLERANCES["moment_c_grid"])
     ok &= exact2
     details.append(f"order 2 equals 1 exactly on c grid: {exact2}")
 
-    for c in tol["moment_c_grid"]:
+    for c in TOLERANCES["moment_c_grid"]:
         target = closed_form_moments(Equicorrelated(c))[4]
         gap = abs(limiting_moment(4, c) - target)
         # the exact moment rounds once, the closed form three times
@@ -198,13 +199,13 @@ def criterion_3(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(3, "limiting moment formula", ok, details)
 
 
-def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_4(seed: int, out_dir: Path) -> CriterionResult:
     """Figure-scale ensembles: correlation grid, moment bands, histogram CSVs."""
     details, ok = [], True
-    band = tol["se_band"]
-    for i, c in enumerate(tol["figure_c_grid"]):
+    band = TOLERANCES["se_band"]
+    for i, c in enumerate(TOLERANCES["figure_c_grid"]):
         stats = run_ensemble(
-            tol["figure_n"], Equicorrelated(c), tol["figure_realizations"],
+            TOLERANCES["figure_n"], Equicorrelated(c), TOLERANCES["figure_realizations"],
             kmax=4, seed=child_seed(seed, 4, i),
         )
         rows = moment_comparison_rows(stats, closed_form_moments(Equicorrelated(c)))
@@ -212,8 +213,8 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
         ok &= abs(z2) <= band and abs(z4) <= band
         header = (
             f"corrdiag acceptance criterion 4",
-            f"generator=equicorrelated c={c} n={tol['figure_n']} "
-            f"realizations={tol['figure_realizations']} seed={child_seed(seed, 4, i)}",
+            f"generator=equicorrelated c={c} n={TOLERANCES['figure_n']} "
+            f"realizations={TOLERANCES['figure_realizations']} seed={child_seed(seed, 4, i)}",
         )
         path = write_histogram_csv(stats, out_dir / f"figure_c{c:g}_hist.csv", header)
         write_moment_csv(rows, out_dir / f"figure_c{c:g}_moments.csv", header)
@@ -223,25 +224,25 @@ def criterion_4(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(4, "figure-scale ensemble moment bands", ok, details)
 
 
-def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_5(seed: int, out_dir: Path) -> CriterionResult:
     """Uncorrelated and fully-correlated endpoints of the interpolation."""
     details, ok = [], True
-    band = tol["se_band"]
+    band = TOLERANCES["se_band"]
 
     stats = run_ensemble(
-        tol["endpoint_n"], Independent(), tol["endpoint_independent_realizations"],
+        TOLERANCES["endpoint_n"], Independent(), TOLERANCES["endpoint_independent_realizations"],
         kmax=4, seed=child_seed(seed, 5, 0),
     )
     z = _z(stats, 4, closed_form_moments(Independent())[4])
     ok &= abs(z) <= band
     details.append(
         f"independent: m4 = {stats.moments[3]:.5f}, z={z:+.2f} vs 2 "
-        f"(R={tol['endpoint_independent_realizations']})"
+        f"(R={TOLERANCES['endpoint_independent_realizations']})"
     )
 
     theory = limiting_moment(4, 1.0)
     stats = run_ensemble(
-        tol["endpoint_n"], Toeplitz(), tol["endpoint_toeplitz_realizations"],
+        TOLERANCES["endpoint_n"], Toeplitz(), TOLERANCES["endpoint_toeplitz_realizations"],
         kmax=4, seed=child_seed(seed, 5, 1),
     )
     z = _z(stats, 4, theory)
@@ -253,11 +254,11 @@ def criterion_5(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(5, "semicircle and Toeplitz endpoints", ok, details)
 
 
-def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_6(seed: int, out_dir: Path) -> CriterionResult:
     """Curie-Weiss: transition, exact identities, convergence ladder, ensembles."""
     details, ok = [], True
-    band = tol["se_band"]
-    idtol = tol["cw_identity_tol"]
+    band = TOLERANCES["se_band"]
+    idtol = TOLERANCES["cw_identity_tol"]
 
     sub_ok = all(limiting_correlation(b) == 0.0 for b in (0.25, 0.5, 0.75, 1.0))
     c2 = limiting_correlation(2.0)
@@ -272,56 +273,57 @@ def criterion_6(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     ok &= ident_ok
     details.append(f"two-spin identity tanh(beta/2) to {idtol:g}: {ident_ok}")
 
-    gaps = [abs(pair_correlation(n, 2.0) - c2) for n in tol["cw_ladder"]]
-    ladder_ok = all(a >= b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < tol["cw_final_gap"]
+    gaps = [abs(pair_correlation(n, 2.0) - c2) for n in TOLERANCES["cw_ladder"]]
+    ladder_ok = all(a >= b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < TOLERANCES["cw_final_gap"]
     ok &= ladder_ok
     details.append(
         f"finite-size gap ladder nonincreasing: {ladder_ok} "
-        f"(final {gaps[-1]:.2e} < {tol['cw_final_gap']})"
+        f"(final {gaps[-1]:.2e} < {TOLERANCES['cw_final_gap']})"
     )
 
     theory = limiting_moment(4, c2)
     stats = run_ensemble(
-        tol["cw_n"], CurieWeiss(tol["cw_supercritical_beta"]),
-        tol["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
+        TOLERANCES["cw_n"], CurieWeiss(TOLERANCES["cw_supercritical_beta"]),
+        TOLERANCES["cw_supercritical_realizations"], kmax=4, seed=child_seed(seed, 6, 0),
     )
     z_hot = _z(stats, 4, theory)
     ok &= abs(z_hot) <= band
 
     stats = run_ensemble(
-        tol["cw_n"], CurieWeiss(tol["cw_subcritical_beta"]),
-        tol["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
+        TOLERANCES["cw_n"], CurieWeiss(TOLERANCES["cw_subcritical_beta"]),
+        TOLERANCES["cw_subcritical_realizations"], kmax=4, seed=child_seed(seed, 6, 1),
     )
     z_cold = _z(stats, 4, closed_form_moments(Independent())[4])
     ok &= abs(z_cold) <= band
     details.append(
-        f"ensembles at n={tol['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory:.5f}; "
-        f"beta=0.5 m4 z={z_cold:+.2f} vs 2 (R={tol['cw_subcritical_realizations']})"
+        f"ensembles at n={TOLERANCES['cw_n']}: beta=2 m4 z={z_hot:+.2f} vs {theory:.5f}; "
+        f"beta=0.5 m4 z={z_cold:+.2f} vs 2 (R={TOLERANCES['cw_subcritical_realizations']})"
     )
     return CriterionResult(6, "Curie-Weiss phase transition", ok, details)
 
 
-def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_7(seed: int, out_dir: Path) -> CriterionResult:
     """Exhaustive counting suite: cell bound, ratio gaps, decay checks."""
     details, ok = [], True
 
     bound_ok = True
     for k in (2, 4, 6):
-        for n in range(2, tol["cell_bound_max_n"] + 1):
+        for n in range(2, TOLERANCES["cell_bound_max_n"] + 1):
             report = check_cell_bound(n, k)
             if not report["ok"]:
                 bound_ok = False
                 details.append(f"shared-cell bound violated: {report['violations'][0]}")
     ok &= bound_ok
     details.append(f"shared cells >= height on every opposed walk, k <= 6, "
-                   f"n <= {tol['cell_bound_max_n']}: {bound_ok}")
+                   f"n <= {TOLERANCES['cell_bound_max_n']}: {bound_ok}")
 
     for k, offset in ((4, 0), (6, 100)):
-        n, allowed = tol[f"oracle_k{k}_n"], tol[f"oracle_k{k}_gap"]
+        n, allowed = TOLERANCES[f"oracle_k{k}_n"], TOLERANCES[f"oracle_k{k}_gap"]
         worst = 0.0
         for index, p in enumerate(enumerate_pair_partitions(k)):
             ratio = lattice_count(p, n - 1) / n ** (k // 2 + 1)
-            vol = toeplitz_volume(p, tol["volume_samples"], child_seed(seed, 7, offset + index)).value
+            seeded = child_seed(seed, 7, offset + index)
+            vol = toeplitz_volume(p, TOLERANCES["volume_samples"], seeded).value
             worst = max(worst, abs(ratio - vol))
         ratio_ok = worst <= allowed
         ok &= ratio_ok
@@ -330,7 +332,7 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
             f"worst gap {worst:.4f} vs {allowed} -> {ratio_ok}"
         )
 
-    for k, grid in ((4, tol["decay_grid_k4"]), (6, tol["decay_grid_k6"])):
+    for k, grid in ((4, TOLERANCES["decay_grid_k4"]), (6, TOLERANCES["decay_grid_k6"])):
         report = check_sn_minus_snstar_decay(grid, k)
         ok &= report["ok"]
         zero = sum(v["identically_zero"] for v in report["partitions"].values())
@@ -339,8 +341,8 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
             + (f" ({zero} partitions empty at every size: bound exact)" if zero else "")
         )
 
-    for label, grid in (("tie_k4", tol["decay_grid_k4"]), ("tie_k6", tol["decay_grid_k6"])):
-        canonical, block = tol[label]
+    for label, grid in (("tie_k4", TOLERANCES["decay_grid_k4"]), ("tie_k6", TOLERANCES["decay_grid_k6"])):
+        canonical, block = TOLERANCES[label]
         report = check_excess_crossing_decay(
             grid, len(canonical.split(",")) * 2, PairPartition.from_string(canonical), block,
         )
@@ -352,27 +354,27 @@ def criterion_7(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
     return CriterionResult(7, "exhaustive counting suite", ok, details)
 
 
-def criterion_8(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_8(seed: int, out_dir: Path) -> CriterionResult:
     """Trace concentration: fourth central moment growth along the size grid."""
     details, ok = [], True
     for k in (2, 4):
         report = concentration_probe(
-            tol["concentration_grid"], Equicorrelated(0.5), k,
-            tol["concentration_realizations"], seed=child_seed(seed, 8, k),
+            TOLERANCES["concentration_grid"], Equicorrelated(0.5), k,
+            TOLERANCES["concentration_realizations"], seed=child_seed(seed, 8, k),
         )
-        this_ok = report["slope"] <= tol["concentration_slope_max"]
+        this_ok = report["slope"] <= TOLERANCES["concentration_slope_max"]
         ok &= this_ok
         details.append(
-            f"k={k}: slope {report['slope']:+.3f} vs max {tol['concentration_slope_max']}"
+            f"k={k}: slope {report['slope']:+.3f} vs max {TOLERANCES['concentration_slope_max']}"
         )
     return CriterionResult(8, "trace concentration slope", ok, details)
 
 
-def criterion_9(tol: dict, seed: int, out_dir: Path) -> CriterionResult:
+def criterion_9(seed: int, out_dir: Path) -> CriterionResult:
     """Numerics self-consistency: dual moment routes and exact trace identities."""
     details, ok = [], True
-    atol = tol["dual_route_atol"]
-    scale = tol["identity_scale"]
+    atol = TOLERANCES["dual_route_atol"]
+    scale = TOLERANCES["identity_scale"]
     generators = (Independent(), Equicorrelated(0.5), CurieWeiss(2.0), Toeplitz())
     worst_route = 0.0
     worst_ident = 0.0
@@ -409,5 +411,4 @@ def run_acceptance(
     invalid = [number for number in selected if number not in _CRITERIA]
     if invalid:
         raise ValueError(f"no criterion {invalid[0]}; valid: {sorted(_CRITERIA)}")
-    tol = dict(TOLERANCES)
-    return [_CRITERIA[number](tol, seed, Path(out_dir)) for number in selected]
+    return [_CRITERIA[number](seed, Path(out_dir)) for number in selected]

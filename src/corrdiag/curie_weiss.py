@@ -3,9 +3,9 @@ and the limiting correlation across the phase transition.
 
 The model puts weight exp(beta * (sum of spins)^2 / (2n)) on each of the 2^n
 sign vectors.  Everything here works through the law of the total spin
-S = 2j - n, whose level weights binom(n, j) * exp(beta * S^2 / (2n)) are
-handled in log-domain (the exponent grows like beta*n/2 and overflows naive
-exponentials).
+S = 2j - n, whose level weights binom(n, j) * exp(beta * (S^2 - n^2) / (2n))
+are handled in log-domain (the exponent grows like beta*n/2 and overflows
+naive exponentials).
 
 The limiting pair correlation is 0 up to beta = 1 and m(beta)^2 beyond it,
 where m(beta) is the unique positive root of m = tanh(beta*m), found by
@@ -57,12 +57,12 @@ def magnetization_levels(n: int, beta: float) -> MagnetizationLaw:
     j = np.arange(n + 1)
     totals = 2 * j - n
     log_factorials = gammaln(j + 1)
-    log_weights = (
-        log_factorials[n]
-        - log_factorials
-        - log_factorials[::-1]
-        + beta * totals.astype(np.float64) ** 2 / (2.0 * n)
-    )
+    # shifted by its value at S = +-n: unshifted, every log weight carries
+    # beta*n/2 and so its rounding, which swamps the law at large beta.  A
+    # weight that overflows to -inf is a zero.
+    with np.errstate(over="ignore"):
+        quadratic = beta * (totals.astype(np.float64) ** 2 - float(n) ** 2) / (2.0 * n)
+    log_weights = log_factorials[n] - log_factorials - log_factorials[::-1] + quadratic
     # the log of the weights' sum in scipy.special.logsumexp's own steps (scipy
     # 1.17): the largest terms apart, log1p of the others relative to them
     top = log_weights.max()

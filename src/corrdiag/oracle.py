@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import check_memory, parallel_map, workers
+from ._parallel import check_memory, parallel_map
 from .partitions import PairPartition, _check_ground_set, blocks_cross, enumerate_pair_partitions, height
 
 COST_GUARD = 10**8  # most walks a census scans, n^(k-1)
@@ -442,19 +442,16 @@ def walk_census(n: int, k: int) -> WalkCensus:
     tail = _trailing_block(n, k)
     slabs = _slabs(n, k, tail.sites.shape[1])
 
-    def tally(group):
-        """Counts of the walks from p_1 = 0 in ``group``'s slabs, one slab held at a time."""
-        total = _slab_tallies(tail, group[0], group[0] + slabs.step, signatures)
-        for lo in group[1:]:
+    def tally(share):
+        """Counts of the walks from p_1 = 0 in ``share``'s slabs, one slab held at a time."""
+        total = _slab_tallies(tail, share[0], share[0] + slabs.step, signatures)
+        for lo in share[1:]:
             for held, counts in zip(total, _slab_tallies(tail, lo, lo + slabs.step, signatures)):
                 held += counts
         return total
 
-    # each worker sums its own slabs, so the tallies held stay one set per worker
-    count = workers(len(slabs))
-    groups = [slabs[w::count] for w in range(count)]
     matched, opposed, cells, ties, every = (
-        sum(column).astype(np.int64) for column in zip(*parallel_map(tally, groups)))
+        sum(column).astype(np.int64) for column in zip(*parallel_map(tally, slabs)))
     # a walk with trailing run t stands for its 1 + t rotations
     nonpair = int(np.arange(1, k + 1) @ (every - matched.sum(axis=0)))
     slot_of, _, block_of = _rotations(k, signatures)

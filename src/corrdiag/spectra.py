@@ -86,14 +86,17 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Sample, diagonalize and pool ``realizations`` independent matrices.
 
-    Per-realization results are collected into arrays indexed by the
-    realization number and reduced at the end, so the aggregate does not
-    depend on scheduling order.  The memory guard (`corrdiag._parallel`)
-    counts per worker 17n^2 bytes (the matrix, the copy ``eigvalsh`` hands
-    LAPACK and the n^2-byte finiteness mask) and the two bins + 1 float64
-    temporaries of ``np.histogram``; shared, in 8-byte words, the bins + 1
-    edges, one counts row and one moment row per realization, the moment
-    stack and the running count sum, plus the tables the builds keep
+    Each worker folds its share of the realizations (`corrdiag._parallel`):
+    it writes each moment row into one array by realization index and sums
+    its histogram counts, underflow and overflow, and the shares' integer
+    sums are added at the end, so the aggregate does not depend on the
+    thread count.  The memory guard counts per worker 17n^2 bytes (the
+    matrix, the copy ``eigvalsh`` hands LAPACK and the n^2-byte finiteness
+    mask), and in 8-byte words of bins + 1 the three temporaries of
+    ``np.histogram`` and the share's running counts; shared, in 8-byte words,
+    the bins + 1 edges, the moment array, and the temporary and the ufunc
+    buffer (at most ``np.getbufsize()`` words) of its standard error, plus
+    8 KiB of Python objects and array headers and the tables the builds keep
     (`sampler._kept_bytes`).
     """
     if realizations < 1:
@@ -106,26 +109,25 @@ def run_ensemble(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"histogram range must be finite and increasing, got {hist_range}")
     check_memory(f"n={n}, {realizations} realization(s) of {bins} bins",
-                 17 * n * n + 16 * (bins + 1),
-                 8 * ((realizations + 2) * (bins + 1) + 2 * realizations * kmax)
-                 + _kept_bytes(gen, n),
+                 17 * n * n + 32 * (bins + 1),
+                 8 * (bins + 1 + 2 * realizations * kmax + min(realizations * kmax, np.getbufsize()))
+                 + 2**13 + _kept_bytes(gen, n),
                  jobs=realizations)
     edges = np.linspace(lo, hi, bins + 1)
+    per = np.empty((realizations, kmax))
 
-    def one(r: int):
-        eigenvalues = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=seed))
-        counts, _ = np.histogram(eigenvalues, bins=edges)
-        under = int((eigenvalues < lo).sum())
-        over = int((eigenvalues > hi).sum())
-        return empirical_moments(eigenvalues, kmax), counts, under, over
+    def fold(share):
+        counts, under, over = np.zeros(bins, dtype=np.int64), 0, 0
+        for r in share:
+            eigenvalues = eigenvalues_symmetric(build_matrix(n, gen, realization=r, seed=seed))
+            per[r] = empirical_moments(eigenvalues, kmax)
+            counts += np.histogram(eigenvalues, bins=edges)[0]
+            under += int((eigenvalues < lo).sum())
+            over += int((eigenvalues > hi).sum())
+        return counts, under, over
 
-    results = parallel_map(one, range(realizations))
-    per = np.stack([row for row, _, _, _ in results])
-    counts = np.zeros(bins, dtype=np.int64)
-    for _, c, _, _ in results:
-        counts += c
-    underflow = sum(u for _, _, u, _ in results)
-    overflow = sum(o for _, _, _, o in results)
+    shares = parallel_map(fold, range(realizations))
+    counts, underflow, overflow = (sum(column) for column in zip(*shares))
     moments = per.mean(axis=0)
     if realizations > 1:
         moment_se = per.std(axis=0, ddof=1) / math.sqrt(realizations)

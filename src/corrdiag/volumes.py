@@ -23,7 +23,7 @@ polynomial: `exact_volume` reads its leading coefficient and
 `lattice_count` evaluates it at t.  A moment coefficient sums, over the
 dihedral orbits, the integer tally of the orbit's pairings of one height
 times the orbit's volume (`moments.exact_moment_polynomial`); the crossing
-orbits of one order are fitted on `parallel_map` workers
+orbits of one order are fitted in shares on `parallel_map` workers
 (`orbit_volumes`).  The counter walks the grid of all
 k/2 + 1 free variables on {0..t} once and histograms each point's reach,
 the largest of its coordinates and row sums.  It counts the interior of tP
@@ -36,10 +36,9 @@ from t = 0).  Ehrhart's theorem and reciprocity hold for lattice polytopes,
 so each orbit's rows are certified totally unimodular before its fit
 (`lattice_polynomial`), which makes the fit exact.
 
-Reproducibility contract: the uniform stream is a counter-based generator
-(Philox) laid out as sample index -> point, and chunks are aligned on
-multiples of four samples (one Philox counter block = four doubles), so a
-chunked parallel run counts exactly the same hits as a serial one.
+Reproducibility contract: a Monte Carlo volume draws one Philox stream,
+seeded by SeedSequence(seed), in order, one chunk of points at a time; the
+chunk length changes no hit count.
 
 Kernel: a point hits when every eliminated variable lies in [0, 1].  Only
 the rows that can leave [0, 1] are tested: a row that is a unit vector is
@@ -66,8 +65,9 @@ from .partitions import PairPartition, _dihedral_images, _text, is_crossing
 from .spectra import write_lines
 
 DEFAULT_SAMPLES = 200_000  # Monte Carlo points per `toeplitz_volume` by default
-# Chunk length for Monte Carlo; a multiple of 4 keeps every chunk start
-# aligned with a Philox counter-block boundary for any point dimension.
+SAMPLE_GUARD = 10**9  # most Monte Carlo points one `toeplitz_volume` draws
+# Points drawn and tested at a time; one stream drawn in order, so the chunk
+# length changes no hit count.
 _CHUNK = 1 << 18
 
 
@@ -138,13 +138,9 @@ def _rows_that_can_fail(matrix: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=matrix.dtype).reshape(len(kept), matrix.shape[1])
 
 
-def _chunk_hits(seed: int, start: int, count: int, rows: np.ndarray) -> int:
-    dim = rows.shape[1]
-    bits = np.random.Philox(np.random.SeedSequence(seed))
-    offset_doubles = start * dim
-    assert offset_doubles % 4 == 0, "chunk start drifted off the counter-block grid"
-    bits.advance(offset_doubles // 4)
-    points = np.random.Generator(bits).random((count, dim))
+def _hits(rng: np.random.Generator, count: int, rows: np.ndarray) -> int:
+    """Hits among the next ``count`` points of ``rng``'s stream."""
+    points = rng.random((count, rows.shape[1]))
     values = rows @ points.T
     inside = np.logical_and.reduce((values >= 0.0) & (values <= 1.0), axis=0)
     return int(np.count_nonzero(inside))
@@ -155,25 +151,21 @@ def toeplitz_volume(p: PairPartition, samples: int, seed: int) -> VolumeEstimate
 
     Non-crossing partitions return 1 exactly.  Crossing partitions are
     estimated with ``samples`` uniform points of the free variables; the
-    standard error is the binomial plug-in sqrt(v(1-v)/samples).  The memory
-    guard counts, per worker, one chunk of points: k/2 + 1 float64
-    coordinates, and per kept row (at most k/2) a float64 value and three
-    booleans.
+    standard error is the binomial plug-in sqrt(v(1-v)/samples).  More
+    than `SAMPLE_GUARD` samples are refused.  The memory guard counts one
+    chunk of points: k/2 + 1 float64 coordinates, and per kept row (at most
+    k/2) a float64 value and three booleans.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= SAMPLE_GUARD:
+        raise ValueError(f"samples must be in 1..{SAMPLE_GUARD}, got {samples}")
     if not is_crossing(p):
         return VolumeEstimate(1.0, 0.0, samples, seed, True)
 
-    half, starts = p.k // 2, range(0, samples, _CHUNK)
-    check_memory(f"a k={p.k} volume", min(_CHUNK, samples) * (8 * (2 * half + 1) + 3 * half),
-                 jobs=len(starts))
+    half = p.k // 2
+    check_memory(f"a k={p.k} volume", min(_CHUNK, samples) * (8 * (2 * half + 1) + 3 * half))
     rows = _rows_that_can_fail(solve_partition_system(p).coefficient_matrix())
-    counts = parallel_map(
-        lambda start: _chunk_hits(seed, start, min(_CHUNK, samples - start), rows),
-        starts,
-    )
-    hits = sum(counts)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    hits = sum(_hits(rng, min(_CHUNK, samples - start), rows) for start in range(0, samples, _CHUNK))
     value = hits / samples
     std_error = math.sqrt(value * (1.0 - value) / samples)
     return VolumeEstimate(value, std_error, samples, seed, False)
@@ -338,12 +330,13 @@ def _orbit_polynomial(key: str) -> tuple[Fraction, ...]:
 def orbit_volumes(k: int, keys: list[str]) -> list[Fraction]:
     """Exact volumes of the crossing dihedral orbits of order k whose
     `_orbit_key`s are ``keys``, in order: each orbit's polynomial is fitted
-    once and kept, the fits run through `parallel_map`.  The memory guard
+    once and kept, each `parallel_map` share fitting its own.  The memory guard
     counts, per worker, one `_lattice_counts` call's arrays for k/2 rows,
     and once the grid the calls share (15.6 MB at k = 14)."""
     per_worker, grid = _count_bytes(k // 2 + 1, _window(k)[1], k // 2)
     check_memory(f"the k={k} orbit fits", per_worker, grid, jobs=len(keys))
-    return parallel_map(lambda key: _orbit_polynomial(key)[-1], keys)
+    parallel_map(lambda share: list(map(_orbit_polynomial, share)), keys)
+    return [_orbit_polynomial(key)[-1] for key in keys]
 
 
 def lattice_count(p: PairPartition, t: int) -> int:

@@ -22,8 +22,7 @@ def out_dir(tmp_path_factory):
 
 
 def _run(number, out_dir):
-    tol = dict(acceptance.TOLERANCES)
-    result = acceptance._CRITERIA[number](tol, SEED, out_dir)
+    result = acceptance._CRITERIA[number](SEED, out_dir)
     print(result.headline())
     for line in result.details:
         print(f"    {line}")
@@ -116,7 +115,7 @@ def test_run_acceptance_rejects_unknown():
 
 
 def test_run_acceptance_checks_every_number_before_running_any(monkeypatch, tmp_path):
-    def must_not_run(tol, seed, out_dir):
+    def must_not_run(seed, out_dir):
         raise AssertionError("criterion ran before the selection was validated")
 
     monkeypatch.setitem(acceptance._CRITERIA, 1, must_not_run)

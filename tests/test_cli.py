@@ -172,6 +172,15 @@ def test_curie_weiss_command(capsys):
     assert 0 < float(pc) < 1
 
 
+def test_curie_weiss_command_at_huge_beta(capsys):
+    # at beta = 1e17 the two spins align almost surely; an unshifted level
+    # law lost the weights to the rounding of beta*n/2 and printed 3
+    code, out, _ = run_cli(capsys, "curie-weiss", "--n", "2", "--beta", "1e17")
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert float(lines[1].split(",")[2]) == 1.0
+
+
 def test_simulate_writes_expected_files(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--generator", "equicorrelated", "--c", "0.5",
@@ -365,6 +374,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("simulate", "--generator", "curie-weiss", "--beta", "nan", "--n", "5", "--realizations", "2"),
     ("simulate", "--generator", "curie-weiss", "--beta", "inf", "--n", "5", "--realizations", "2"),
     ("simulate", "--n", "20", "--realizations", "2", "--range", "0", "inf"),
+    ("volume", "1-3,2-4", "--samples", "1000000001"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"

@@ -1,6 +1,7 @@
 """Curie-Weiss spin statistics: exact finite-n laws and the limit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def _scipy_levels(n, beta):
     j = np.arange(n + 1)
     totals = 2 * j - n
     log_weights = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-                   + beta * totals.astype(np.float64) ** 2 / (2.0 * n))
+                   + beta * (totals.astype(np.float64) ** 2 - float(n) ** 2) / (2.0 * n))
     log_weights -= logsumexp(log_weights)
     return np.exp(log_weights)
 
@@ -147,6 +148,19 @@ def test_level_law_bytes_equal_scipy_logsumexp(beta):
         assert probs.tobytes() == _scipy_levels(n, beta).tobytes(), n
         ties += np.count_nonzero(probs == probs.max()) > 1
     assert ties >= 10
+
+
+def test_pair_correlation_of_two_spins_at_huge_beta():
+    assert pair_correlation(2, 1e17) == 1.0
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e14, 1e308])
+@pytest.mark.parametrize("n", [2, 1000, 100_000])
+def test_level_law_sums_to_one_at_huge_beta(n, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = magnetization_levels(n, beta).probs
+    assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_rejects_bad_arguments():

@@ -152,14 +152,16 @@ def test_exact_moment_polynomial_equals_the_per_pairing_sum():
 
 
 def test_exact_moment_polynomial_identical_across_thread_counts(monkeypatch):
-    # the orbit fits run on parallel_map workers; Fraction sums are exact
+    # the orbit fits run in parallel_map shares; Fraction sums are exact.  The
+    # 14 crossing orbits of k = 8 make shares of 5, 5 and 4 on 3 threads
     results = []
-    for threads in ("1", "2"):
+    for threads, orders in (("1", range(2, 11, 2)), ("2", range(2, 11, 2)), ("3", [8])):
         monkeypatch.setenv("CORRDIAG_THREADS", threads)
         exact_moment_polynomial.cache_clear()
         volumes._orbit_polynomial.cache_clear()
-        results.append([exact_moment_polynomial(k) for k in range(2, 11, 2)])
+        results.append({k: exact_moment_polynomial(k) for k in orders})
     assert results[0] == results[1]
+    assert results[2][8] == results[0][8]
 
 
 def test_orbit_fits_on_more_threads_than_cores_build_one_grid(monkeypatch):

@@ -336,11 +336,12 @@ def test_census_matches_brute_force(n, k):
 
 
 def test_census_identical_across_thread_counts(monkeypatch):
-    # each worker sums its own slabs; the sums over workers must not depend on the split
-    for n, k in ((9, 4), (5, 6), (3, 8)):
+    # each worker sums its own share of the slabs; the sums over workers must
+    # not depend on the split.  (12, 6) has 4 slabs: shares of 2, 1 and 1 on 3 threads
+    for n, k, threads in ((9, 4, "2"), (5, 6, "2"), (3, 8, "2"), (12, 6, "3")):
         results = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CORRDIAG_THREADS", threads)
+        for count in ("1", threads):
+            monkeypatch.setenv("CORRDIAG_THREADS", count)
             results.append(census_report(walk_census.__wrapped__(n, k)))
         assert results[0] == results[1]
 

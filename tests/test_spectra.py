@@ -1,7 +1,5 @@
 """Spectral statistics: eigenvalues, moments, ensembles, CSV output."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -171,19 +169,45 @@ def test_run_ensemble_peak_within_guard_estimate(monkeypatch, realizations):
     assert 0.85 * estimates[-1] <= peak <= estimates[-1], (peak, estimates[-1])
 
 
-def test_thread_count_does_not_change_results():
-    baseline = run_ensemble(60, Equicorrelated(0.25), 6, kmax=4, seed=11)
-    env_before = os.environ.get("CORRDIAG_THREADS")
-    os.environ["CORRDIAG_THREADS"] = "3"
+def test_run_ensemble_peak_on_two_threads_within_guard_estimate(monkeypatch):
+    import tracemalloc
+
+    import corrdiag.spectra as spectra
+    from corrdiag._parallel import check_memory, workers
+
+    # 500 realizations of a 1x1 matrix: whatever the pool keeps per
+    # realization, and the guard does not count, would dominate the peak
+    estimates = []
+
+    def record(what, per_worker, shared=0, jobs=1):
+        estimates.append(workers(jobs) * per_worker + shared)
+        check_memory(what, per_worker, shared, jobs)
+
+    monkeypatch.setattr(spectra, "check_memory", record)
+    monkeypatch.setenv("CORRDIAG_THREADS", "2")
+    run_ensemble(1, Independent(), 3, bins=1)  # load lazy imports first
+    tracemalloc.start()
     try:
-        threaded = run_ensemble(60, Equicorrelated(0.25), 6, kmax=4, seed=11)
+        run_ensemble(1, Independent(), 500, bins=1)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        if env_before is None:
-            del os.environ["CORRDIAG_THREADS"]
-        else:
-            os.environ["CORRDIAG_THREADS"] = env_before
-    assert np.array_equal(baseline.per_realization, threaded.per_realization)
-    assert np.array_equal(baseline.counts, threaded.counts)
+        tracemalloc.stop()
+    assert peak <= estimates[-1], (peak, estimates[-1])
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    # 7 realizations on 4 threads make uneven shares: 2, 2, 2 and 1
+    for realizations, threads in ((6, "3"), (7, "4")):
+        results = []
+        for count in ("1", threads):
+            monkeypatch.setenv("CORRDIAG_THREADS", count)
+            results.append(run_ensemble(60, Equicorrelated(0.25), realizations, kmax=4,
+                                        bins=20, hist_range=(-1.5, 1.5), seed=11))
+        baseline, threaded = results
+        assert np.array_equal(baseline.per_realization, threaded.per_realization)
+        assert np.array_equal(baseline.counts, threaded.counts)
+        assert (baseline.underflow, baseline.overflow) == (threaded.underflow, threaded.overflow)
+        assert baseline.underflow > 0 and baseline.overflow > 0
 
 
 def test_histogram_accounts_for_every_eigenvalue():

@@ -16,8 +16,8 @@ from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_cro
 from corrdiag.volumes import (
     VolumeCache,
     VolumeEstimate,
-    _chunk_hits,
     _fit_polynomial,
+    _hits,
     _lattice_counts,
     _orbit_key,
     _rows_that_can_fail,
@@ -126,32 +126,38 @@ def test_chunking_invisible_in_results():
     big = toeplitz_volume(p, vol._CHUNK + 12_345, 3)
     old = vol._CHUNK
     try:
-        vol._CHUNK = 1 << 12
+        vol._CHUNK = (1 << 12) + 1
         small = toeplitz_volume(p, old + 12_345, 3)
     finally:
         vol._CHUNK = old
     assert big.value == small.value
 
 
-def reference_hits(seed, start, count, matrix):
-    # the plain kernel: every row of the full coefficient matrix, tested per point
-    bits = np.random.Philox(np.random.SeedSequence(seed))
-    bits.advance(start * matrix.shape[1] // 4)
-    points = np.random.Generator(bits).random((count, matrix.shape[1]))
-    values = points @ matrix.T
+def philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def reference_hits(seed, count, matrix):
+    # the plain kernel: every row of the full coefficient matrix, tested per
+    # point, on one draw of the whole stream
+    values = philox(seed).random((count, matrix.shape[1])) @ matrix.T
     return int(((values >= 0) & (values <= 1)).all(axis=1).sum())
 
 
-@pytest.mark.parametrize("start", [0, 4 * 9973])
-def test_chunk_hits_match_full_matrix_reference(start):
+@pytest.mark.parametrize("chunk", [vol._CHUNK, 777])
+def test_hits_match_full_matrix_reference(monkeypatch, chunk):
+    # 777 points a chunk: four chunks of 3000, none after the first starting on a
+    # Philox counter block
+    monkeypatch.setattr(vol, "_CHUNK", chunk)
     crossing = [p for p in all_partitions(8) if is_crossing(p)]
     assert len(crossing) == 1 + 10 + 91
     for p in crossing:
         full = solve_partition_system(p).coefficient_matrix()
         rows = _rows_that_can_fail(full)
-        expected = reference_hits(5, start, 3000, full)
-        assert _chunk_hits(5, start, 3000, rows) == expected, p.canonical()
-        assert _chunk_hits(5, start, 3000, full) == expected, p.canonical()
+        expected = reference_hits(5, 3000, full)
+        assert toeplitz_volume(p, 3000, 5).value == expected / 3000, p.canonical()
+        assert _hits(philox(5), 3000, rows) == expected, p.canonical()
+        assert _hits(philox(5), 3000, full) == expected, p.canonical()
 
 
 def test_rows_that_can_fail_drop_unit_and_repeated_rows():
@@ -171,7 +177,7 @@ def test_volume_guard_refuses_huge_k_before_solving(monkeypatch):
     # about 5 GB of coordinates, constraint values and booleans
     p = PairPartition(2000, ((1, 3), (2, 4), *((i, i + 1) for i in range(5, 2000, 2))))
     called = []
-    monkeypatch.setattr(vol, "_chunk_hits", lambda *args: called.append(args))
+    monkeypatch.setattr(vol, "_hits", lambda *args: called.append(args))
     monkeypatch.setenv("CORRDIAG_THREADS", "1")
     tracemalloc.start()
     try:
@@ -182,6 +188,15 @@ def test_volume_guard_refuses_huge_k_before_solving(monkeypatch):
         tracemalloc.stop()
     assert called == []
     assert peak < 2**22
+
+
+def test_sample_guard_refuses_before_solving_or_drawing(monkeypatch):
+    called = []
+    monkeypatch.setattr(vol, "solve_partition_system", lambda *args: called.append(args))
+    monkeypatch.setattr(vol, "_hits", lambda *args: called.append(args))
+    with pytest.raises(ValueError, match="samples must be in 1..1000000000"):
+        toeplitz_volume(PairPartition.from_string("1-3,2-4"), vol.SAMPLE_GUARD + 1, 0)
+    assert called == []
 
 
 def test_volume_peak_within_guard_estimate(monkeypatch):
