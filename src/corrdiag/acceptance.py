@@ -343,9 +343,7 @@ def criterion_7(seed: int, out_dir: Path) -> CriterionResult:
 
     for label, grid in (("tie_k4", TOLERANCES["decay_grid_k4"]), ("tie_k6", TOLERANCES["decay_grid_k6"])):
         canonical, block = TOLERANCES[label]
-        report = check_excess_crossing_decay(
-            grid, len(canonical.split(",")) * 2, PairPartition.from_string(canonical), block,
-        )
+        report = check_excess_crossing_decay(grid, PairPartition.from_string(canonical), block)
         ok &= report["pass"]
         details.append(
             f"cell-tie decay {canonical} block {block} on {grid}: "

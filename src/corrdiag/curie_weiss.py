@@ -138,8 +138,7 @@ def sample_spins(n: int, beta: float, rng) -> np.ndarray:
     _check_params(n, beta)
     rng = np.random.default_rng(rng)
     cdf = _level_cdf(n, beta)
-    level = int(np.searchsorted(cdf, rng.random(), side="right"))
-    level = min(level, n)
+    level = int(np.searchsorted(cdf, rng.random(), side="right"))  # <= n: u < 1.0 = cdf[-1]
     spins = np.full(n, -1.0)
     if level:
         spins[rng.permutation(n)[:level]] = 1.0

@@ -531,7 +531,7 @@ def check_sn_minus_snstar_decay(n_grid: tuple[int, ...], k: int) -> dict:
 
 
 def check_excess_crossing_decay(
-    n_grid: tuple[int, ...], k: int, p: PairPartition, block: tuple[int, int]
+    n_grid: tuple[int, ...], p: PairPartition, block: tuple[int, int]
 ) -> dict:
     """Cell-tied opposed walks of one crossed block, normalized by n^(k/2+1).
 
@@ -544,10 +544,10 @@ def check_excess_crossing_decay(
         raise ValueError(f"{block} is not a block of {p.canonical()}")
     if not any(blocks_cross(block, other) for other in p.blocks):
         raise ValueError(f"block {block} of {p.canonical()} is not crossed by any other block")
-    ratios = [walk_census(n, k).tallies[p.canonical()].block_ties[block] / _scale(n, k)
+    ratios = [walk_census(n, p.k).tallies[p.canonical()].block_ties[block] / _scale(n, p.k)
               for n in n_grid]
     flags = _decay_flags(ratios)
-    return {"n_grid": tuple(n_grid), "k": k, "partition": p.canonical(),
+    return {"n_grid": tuple(n_grid), "k": p.k, "partition": p.canonical(),
             "block": block, **flags}
 
 

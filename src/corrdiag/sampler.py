@@ -14,21 +14,23 @@ correlation within one diagonal:
     Toeplitz           one standard normal repeated along the diagonal
                        (correlation 1)
 
-Seed layout: diagonal r of realization t uses the child stream
-SeedSequence(seed, spawn_key=(t, r)), so diagonals are independent, runs
-are reproducible, and realizations never share entropy.  Every other
-integer seed a run derives (per-partition volume seeds, per-criterion and
-per-size ensemble seeds) is ``child_seed(seed, *key)``, the first 64-bit
-word of the child stream SeedSequence(seed, spawn_key=key).  Normals are drawn
-by inverse CDF (ndtri) on 53-bit uniforms offset to the open interval, a
-choice fixed here because bit-exact reproducibility is promised: a raw PCG64
-word w gives the uniform ((w >> 11) + 0.5) * 2^-53.
+Seed layout: numpy's spawn tree.  Diagonal r of realization t is child r of
+SeedSequence(seed, spawn_key=(t,)), the stream SeedSequence(seed,
+spawn_key=(t, r)), so diagonals are independent, runs are reproducible,
+and realizations never share entropy.  Every other integer seed a run
+derives (per-partition volume seeds, per-criterion and per-size ensemble
+seeds) is ``child_seed(seed, *key)``, the first 64-bit word of the child
+stream SeedSequence(seed, spawn_key=key).  Normals are drawn by inverse CDF
+(ndtri) on 53-bit uniforms offset to the open interval, a choice fixed here
+because bit-exact reproducibility is promised: a raw PCG64 word w gives the
+uniform ((w >> 11) + 0.5) * 2^-53.
 
 `diagonal_rng` and `sample_diagonal` are the per-diagonal reference.
 `build_matrix` gives the same bytes without a generator per diagonal: it
-derives the PCG64 states of all n child streams in one vectorized pass,
-loads each into one reused PCG64, and reads raw words a slab of whole
-diagonals at a time.
+mixes only the offset word r into numpy's pool of the realization's
+SeedSequence to derive all n PCG64 states in one vectorized pass, loads
+each into one reused PCG64, and reads raw words a slab of whole diagonals
+at a time.
 """
 
 from __future__ import annotations
@@ -127,13 +129,13 @@ def build_matrix(n: int, gen: GeneratorSpec, realization: int = 0, seed: int = 0
     if not isinstance(gen, GeneratorSpec):
         raise TypeError(f"unknown generator spec: {gen!r}")
     check_memory(f"an n={n} matrix", 8 * n * n, _kept_bytes(gen, n))
-    np.random.SeedSequence(seed, spawn_key=(realization, 0))  # rejects a negative seed or realization
+    parent = np.random.SeedSequence(seed, spawn_key=(realization,))  # rejects a negative seed or realization
     # allocate the matrix before the seed arrays: those small arrays would
     # otherwise split the heap hole that the last freed matrix left, the new
     # matrix would not fit there, and an n=1000 ensemble's peak RSS grew 5 MB
     a = np.empty((n, n))
     flat = a.reshape(-1)
-    for r, values in _scaled_diagonals(gen, n, _stream_states(seed, realization, n)):
+    for r, values in _scaled_diagonals(gen, n, _stream_states(parent, n)):
         flat[r:(n - r) * (n + 1):n + 1] = values  # entries (i, i + r)
         flat[r * n::n + 1] = values  # entries (i + r, i)
     return a
@@ -149,41 +151,33 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _stream_states(seed: int, realization: int, n: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of diagonal_rng(seed, realization, r) for every r < n.
+def _stream_states(parent: np.random.SeedSequence, n: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of child r of ``parent`` for every r < n.
 
-    Runs SeedSequence's entropy mixing and generate_state(4, np.uint64) as
-    uint32 arithmetic on arrays of length n, then PCG64's seeding step
-    (inc = 2 seq + 1, two LCG steps) in Python ints.  The seed and
-    realization must be non-negative; `build_matrix` checks them first.
+    ``parent`` is realization t's SeedSequence(seed, spawn_key=(t,)); its
+    child r, diagonal r's stream SeedSequence(seed, spawn_key=(t, r)), has
+    the parent's entropy words and then r, so its pool is numpy's
+    ``parent.pool`` with only r mixed in.  That step and generate_state(4,
+    np.uint64), as uint32 arithmetic on arrays of length n, and PCG64's
+    seeding step (inc = 2 seq + 1, two LCG steps) in Python ints are coded here.
     """
-    # SeedSequence's entropy words: the seed's uint32 words zero-padded to the
-    # pool size of 4, the realization's words, then the offset (one word, r < 2^32)
-    seed_words = _uint32_words(seed)
-    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(realization)
-    entropy = [np.array([word], dtype=np.uint32) for word in words]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    hash_const = _INIT_A
+    def words(value):  # uint32 words SeedSequence splits a non-negative integer into
+        return (max(int(value).bit_length(), 1) + 31) // 32
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
+    # before r, SeedSequence's hash constant has stepped 4 times per entropy
+    # word (the seed's words zero-padded to the pool size of 4, then the spawn
+    # key's): 16 to fill and cross-mix the pool, 4 to mix in each later word
+    entropy_words = max(4, words(parent.entropy)) + sum(map(words, parent.spawn_key))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 1 << 32) & _MASK32
+    offsets = np.arange(n, dtype=np.uint32)
+    pool = []
+    for word in parent.pool.tolist():
+        value = offsets ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        value *= hash_const
+        value ^= value >> 16
+        value = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * value
+        pool.append(value ^ (value >> 16))
 
     hash_const = _INIT_B
     state32 = []
@@ -201,15 +195,6 @@ def _stream_states(seed: int, realization: int, n: int) -> list[tuple[int, int]]
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         streams.append((state, inc))
     return streams
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative integer's little-endian uint32 words, as SeedSequence splits it."""
-    value = int(value)
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
 
 
 def _load(bitgen: np.random.PCG64, stream: tuple[int, int]) -> None:

@@ -244,7 +244,7 @@ def test_block_tie_counts_k4_closed_form():
 
 def test_excess_crossing_decay_check():
     p = PairPartition.from_string("1-3,2-4")
-    report = check_excess_crossing_decay((10, 20, 40), 4, p, (1, 3))
+    report = check_excess_crossing_decay((10, 20, 40), p, (1, 3))
     assert report["pass"]
     ratios = report["ratios"]
     assert ratios == sorted(ratios, reverse=True)
@@ -262,14 +262,14 @@ def test_decay_checks_reject_a_grid_that_is_not_increasing():
             check_sn_minus_snstar_decay(grid, 6)
     for grid in ((40, 20, 10), (10, 20, 20), (10,)):
         with pytest.raises(ValueError):
-            check_excess_crossing_decay(grid, 4, p, (1, 3))
+            check_excess_crossing_decay(grid, p, (1, 3))
     assert check_sn_minus_snstar_decay((14, 16), 6)["ok"]
 
 
 def test_excess_crossing_decay_rejects_bad_block():
     p = PairPartition.from_string("1-3,2-4")
     with pytest.raises(ValueError):
-        check_excess_crossing_decay((6, 8), 4, p, (1, 2))
+        check_excess_crossing_decay((6, 8), p, (1, 2))
 
 
 def test_census_report_serializable():

@@ -275,11 +275,14 @@ def test_matrix_matches_per_diagonal_reference(gen, n):
     assert a.tobytes() == reference_matrix(n, gen, 3, TWO_WORD_SEED).tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, child_seed(1729, 7, 100)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, child_seed(1729, 7, 100),
+                                  2**130 + 3])
 def test_stream_states_match_numpy(seed):
+    # 2^130 + 3 has five uint32 words, more than the pool size of 4
     n = 1000
     for realization in (0, 1, 2**32 + 1):
-        streams = sampler._stream_states(seed, realization, n)
+        parent = np.random.SeedSequence(seed, spawn_key=(realization,))
+        streams = sampler._stream_states(parent, n)
         assert len(streams) == n
         for r in (0, 1, n - 1):
             bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(realization, r)))
