@@ -26,8 +26,9 @@ from .spectra import (moment_comparison_rows, render, run_ensemble, write_histog
 from .volumes import DEFAULT_SAMPLES, VolumeCache, toeplitz_volume
 
 
-def _header(args: argparse.Namespace, skip: tuple[str, ...] = ("func", "out")) -> list[str]:
-    shown = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+def _header(args: argparse.Namespace) -> list[str]:
+    shown = {k: v for k, v in sorted(vars(args).items())
+             if k not in ("func", "out") and v is not None}
     config = " ".join(f"{k}={v}" for k, v in shown.items())
     return [f"corrdiag {__version__}", f"config: {config}"]
 

@@ -21,14 +21,14 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import _check_ground_set, _crossing, _dihedral_images, _height, _pairings, _text
+from .partitions import MAX_GROUND_SET, _check_ground_set, _crossing, _dihedral_images, _height, _pairings
 from .partitions import enumerate_pair_partitions  # noqa: F401  perfbench/tracer.py wraps it here
 from .partitions import height  # noqa: F401  perfbench/tracer.py wraps it here
 from .partitions import is_crossing  # noqa: F401  perfbench/tracer.py wraps it here
 from .sampler import Equicorrelated, GeneratorSpec, Independent
 from .volumes import orbit_volumes
 
-EXACT_MAX_K = 14  # largest order whose moments are computed
+EXACT_MAX_K = MAX_GROUND_SET  # largest order whose moments are computed
 
 
 def catalan(m: int) -> int:
@@ -91,21 +91,20 @@ def exact_moment_polynomial(k: int) -> tuple[Fraction, ...]:
     not, so the sum runs over `_orbit_walk`: each orbit adds its volume
     times its height tally, one Fraction product per (orbit, height).
     Non-crossing orbits have volume 1; the crossing orbits' volumes come
-    from `orbit_volumes`, keyed by the canonical form of their least member
-    (`volumes._orbit_key`).
+    from `orbit_volumes`, keyed by their least member's partner tuple.
     """
     _check_ground_set(k)
     flat = [0] * (k // 2 + 1)  # the non-crossing orbits' tallies
-    keys, tallies = [], []
+    leasts, tallies = [], []
     for members, tally in _orbit_walk(k):
         least = min(members)
         if _crossing(least):
-            keys.append(_text(least))
+            leasts.append(least)
             tallies.append(tally)
         else:
             flat = [a + b for a, b in zip(flat, tally)]
     coefficients = list(map(Fraction, flat))
-    for volume, tally in zip(orbit_volumes(k, keys), tallies):
+    for volume, tally in zip(orbit_volumes(k, leasts), tallies):
         for j, count in enumerate(tally):
             if count:
                 coefficients[j] += volume * count

@@ -1,21 +1,20 @@
 """Pair partitions of {1,...,k}: enumeration, crossing structure, height.
 
-The core works on partner tuples: a pairing of {1,...,k} is the tuple
-``partner`` of length k with ``partner[i] = j`` when i + 1 and j + 1 share a
-block (0-based).  `PairPartition` is the checked, text-keyed object built
-from one; `height` and `is_crossing` read its partner tuple.
+A pairing of {1,...,k} is its partner tuple: the tuple ``partner`` of length
+k with ``partner[i] = j`` when i + 1 and j + 1 share a block (0-based).  The
+core computes on these tuples, and `PairPartition` is the checked wrapper of
+one, with its blocks and text read off the tuple.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._parallel import check_memory
-
-MAX_GROUND_SET = 16  # (k-1)!! growth; 15!! = 2,027,025 is the practical ceiling
+# the largest order enumerated or whose moments are computed: 13!! = 135,135
+# pairings, about 34 MB when `enumerate_pair_partitions` keeps them
+MAX_GROUND_SET = 14
 
 
 def _check_ground_set(k: int) -> None:
@@ -27,48 +26,52 @@ def _check_ground_set(k: int) -> None:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """A perfect pairing of {1,...,k} into k/2 two-element blocks.
+    """A perfect pairing of {1,...,k}, stored as its partner tuple (module
+    docstring), so structural equality and hashing are canonical.
 
-    Blocks are stored as (smaller, larger) and sorted by their smaller
-    element, so structural equality, hashing and text round-trips are all
-    canonical.
+    ``blocks`` lists the pairs as (smaller, larger), 1-based and sorted by
+    the smaller element; ``canonical`` is their text.
     """
 
-    k: int
-    blocks: tuple[tuple[int, int], ...]
+    partner: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 2 or self.k % 2:
-            raise ValueError(f"ground set size must be a positive even integer, got {self.k}")
-        seen: set[int] = set()
-        for a, b in self.blocks:
-            if not 1 <= a < b <= self.k:
-                raise ValueError(f"block ({a},{b}) is not an increasing pair inside 1..{self.k}")
-            seen.update((a, b))
-        if len(self.blocks) != self.k // 2 or len(seen) != self.k:
-            raise ValueError("blocks must tile {1,...,k} into k/2 disjoint pairs")
-        if list(self.blocks) != sorted(self.blocks):
-            raise ValueError("blocks must be sorted by smaller element")
+        partner = self.partner
+        k = len(partner)
+        if k < 2 or k % 2 or any(not 0 <= j < k or j == i or partner[j] != i
+                                 for i, j in enumerate(partner)):
+            raise ValueError(f"{partner} is not the partner tuple of a pairing of a "
+                             "nonempty even ground set: an involution with no fixed point")
+
+    @property
+    def k(self) -> int:
+        return len(self.partner)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i + 1, j + 1) for i, j in enumerate(self.partner) if i < j)
 
     def canonical(self) -> str:
         """Text key, e.g. '1-3,2-4'."""
         return ",".join(f"{a}-{b}" for a, b in self.blocks)
 
-    def partner(self) -> tuple[int, ...]:
-        """Partner tuple (module docstring): entry i - 1 is the partner of i, less 1."""
-        partner = [0] * self.k
-        for a, b in self.blocks:
-            partner[a - 1], partner[b - 1] = b - 1, a - 1
-        return tuple(partner)
-
     @classmethod
     def from_string(cls, text: str) -> "PairPartition":
-        pairs = []
-        for chunk in text.split(","):
-            a, b = (int(x) for x in chunk.split("-"))
-            pairs.append((min(a, b), max(a, b)))
-        pairs.sort()
-        return cls(2 * len(pairs), tuple(pairs))
+        """Parse blocks 'a-b' joined by commas, in any order and either way
+        round, that use each of 1..k once, k twice the number of blocks."""
+        chunks = text.split(",")
+        k = 2 * len(chunks)
+        partner = [-1] * k
+        for chunk in chunks:
+            try:
+                a, b = (int(end) - 1 for end in chunk.split("-"))
+            except ValueError:  # not two integers
+                a = b = -1
+            if a == b or not (0 <= a < k and 0 <= b < k) or max(partner[a], partner[b]) >= 0:
+                raise ValueError(f"{text!r} is not a pair partition: blocks a-b, joined by "
+                                 f"commas, must use each of 1..{k} once")
+            partner[a], partner[b] = b, a
+        return cls(tuple(partner))
 
 
 def _pairings(k: int) -> Iterator[tuple[int, ...]]:
@@ -89,37 +92,19 @@ def _pairings(k: int) -> Iterator[tuple[int, ...]]:
     return extend(tuple(range(k)))
 
 
-def _from_partner(partner: tuple[int, ...]) -> PairPartition:
-    return PairPartition(len(partner), tuple((i + 1, j + 1) for i, j in enumerate(partner) if i < j))
-
-
-def _text(partner: tuple[int, ...]) -> str:
-    """`PairPartition.canonical` of the pairing with this partner tuple."""
-    return ",".join(f"{i + 1}-{j + 1}" for i, j in enumerate(partner) if i < j)
-
-
 @lru_cache(maxsize=None)
 def _all_pairings(k: int) -> tuple[PairPartition, ...]:
-    return tuple(map(_from_partner, _pairings(k)))
-
-
-def _pairing_bytes(k: int) -> int:
-    """Bytes one cached PairPartition of {1,...,k} holds with its blocks and
-    its slots in the cache and the returned list: 32 a ground-set element
-    over a fixed 144 (tracemalloc: 527 at k = 12, 591 at k = 14)."""
-    return 144 + 32 * k
+    return tuple(map(PairPartition, _pairings(k)))
 
 
 def enumerate_pair_partitions(k: int) -> list[PairPartition]:
-    """All (k-1)!! pairings of {1,...,k}.
+    """All (k-1)!! pairings of {1,...,k}, for even k up to MAX_GROUND_SET.
 
     Order is deterministic: the smallest unpaired element is matched with
     each larger candidate in turn, which is lexicographic in the block list.
-    The pairings are kept for the life of the process, so the memory guard
-    counts `_pairing_bytes` for each before they are built.
+    The pairings are kept for the life of the process.
     """
     _check_ground_set(k)
-    check_memory(f"the k={k} pair partitions", _pairing_bytes(k) * math.prod(range(1, k, 2)))
     return list(_all_pairings(k))
 
 
@@ -167,7 +152,7 @@ def _height(partner: tuple[int, ...]) -> int:
 
 def is_crossing(p: PairPartition) -> bool:
     """True iff two blocks interleave as i < j < l < m with i~l and j~m."""
-    return _crossing(p.partner())
+    return _crossing(p.partner)
 
 
 def height(p: PairPartition) -> int:
@@ -176,4 +161,4 @@ def height(p: PairPartition) -> int:
     A block (i,j) counts when j = i+1, or when every element of the window
     {i+1,...,j-1} is paired with another element of the same window.
     """
-    return _height(p.partner())
+    return _height(p.partner)

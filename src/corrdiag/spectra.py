@@ -16,14 +16,19 @@ TRACE_MOMENT_MAX_K = 12
 TRACE_MOMENT_MAX_N = 500
 
 
-def eigenvalues_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix, sorted ascending."""
+def _checked_square(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as float64, refused unless it is square with finite entries."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
-    return np.linalg.eigvalsh(matrix)
+    return matrix
+
+
+def eigenvalues_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a dense symmetric matrix, sorted ascending."""
+    return np.linalg.eigvalsh(_checked_square(matrix))
 
 
 def empirical_moments(eigenvalues: np.ndarray, kmax: int) -> np.ndarray:
@@ -40,7 +45,7 @@ def empirical_moments(eigenvalues: np.ndarray, kmax: int) -> np.ndarray:
 
 def trace_moment_direct(matrix: np.ndarray, k: int) -> float:
     """(1/n) * trace(M^k) by repeated matrix product — the eigenvalue-free route."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = _checked_square(matrix)
     n = matrix.shape[0]
     if not 1 <= k <= TRACE_MOMENT_MAX_K:
         raise ValueError(f"k must be in 1..{TRACE_MOMENT_MAX_K}, got {k}")

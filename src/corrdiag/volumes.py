@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import check_memory, parallel_map
-from .partitions import PairPartition, _dihedral_images, _text, is_crossing
+from .partitions import PairPartition, _dihedral_images, is_crossing
 from .spectra import write_lines
 
 DEFAULT_SAMPLES = 200_000  # Monte Carlo points per `toeplitz_volume` by default
@@ -314,29 +314,24 @@ def lattice_polynomial(p: PairPartition) -> tuple[Fraction, ...]:
     return _fit_polynomial(window, start=-below)
 
 
-def _orbit_key(p: PairPartition) -> str:
-    """Canonical form of one representative of p's orbit under the dihedral
-    group: rotations i -> i + r (mod k) and the reflection i -> k + 1 - i.
-    The representative has the least partner tuple (partner of 1, 2, ..., k)
-    among `_dihedral_images`."""
-    return _text(min(_dihedral_images(p.partner())))
-
-
 @lru_cache(maxsize=None)
-def _orbit_polynomial(key: str) -> tuple[Fraction, ...]:
-    return lattice_polynomial(PairPartition.from_string(key))
+def _orbit_polynomial(least: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """`lattice_polynomial` of the dihedral orbit (rotations i -> i + r (mod k)
+    and the reflection i -> k + 1 - i) whose least partner tuple among
+    `_dihedral_images` is ``least``."""
+    return lattice_polynomial(PairPartition(least))
 
 
-def orbit_volumes(k: int, keys: list[str]) -> list[Fraction]:
-    """Exact volumes of the crossing dihedral orbits of order k whose
-    `_orbit_key`s are ``keys``, in order: each orbit's polynomial is fitted
+def orbit_volumes(k: int, leasts: list[tuple[int, ...]]) -> list[Fraction]:
+    """Exact volumes of the crossing dihedral orbits of order k whose least
+    partner tuples are ``leasts``, in order: each orbit's polynomial is fitted
     once and kept, each `parallel_map` share fitting its own.  The memory guard
     counts, per worker, one `_lattice_counts` call's arrays for k/2 rows,
     and once the grid the calls share (15.6 MB at k = 14)."""
     per_worker, grid = _count_bytes(k // 2 + 1, _window(k)[1], k // 2)
-    check_memory(f"the k={k} orbit fits", per_worker, grid, jobs=len(keys))
-    parallel_map(lambda share: list(map(_orbit_polynomial, share)), keys)
-    return [_orbit_polynomial(key)[-1] for key in keys]
+    check_memory(f"the k={k} orbit fits", per_worker, grid, jobs=len(leasts))
+    parallel_map(lambda share: list(map(_orbit_polynomial, share)), leasts)
+    return [_orbit_polynomial(least)[-1] for least in leasts]
 
 
 def lattice_count(p: PairPartition, t: int) -> int:
@@ -348,7 +343,7 @@ def lattice_count(p: PairPartition, t: int) -> int:
     count of tP, so ValueError is raised."""
     if t < 0:
         raise ValueError(f"a lattice count needs t >= 0, got t = {t}")
-    return int(_evaluate(_orbit_polynomial(_orbit_key(p)), t))
+    return int(_evaluate(_orbit_polynomial(min(_dihedral_images(p.partner))), t))
 
 
 def exact_volume(p: PairPartition) -> Fraction:
@@ -357,7 +352,7 @@ def exact_volume(p: PairPartition) -> Fraction:
     kept for the life of the process."""
     if not is_crossing(p):
         return Fraction(1)
-    return _orbit_polynomial(_orbit_key(p))[-1]
+    return _orbit_polynomial(min(_dihedral_images(p.partner)))[-1]
 
 
 class VolumeCache:

@@ -1,6 +1,7 @@
 """The package's export list."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import corrdiag
@@ -53,3 +54,42 @@ def test_moments_import_no_monte_carlo():
     assert names["volumes"] == {"orbit_volumes"}
     assert names["sampler"] <= {"CurieWeiss", "Equicorrelated", "GeneratorSpec",
                                 "Independent", "Toeplitz"}
+
+
+def test_partitions_hold_partner_tuples_under_one_cap():
+    # one representation of a pairing and one bound on k: no text keys, no byte estimate
+    from corrdiag import moments, partitions, volumes
+
+    for module, name in ((partitions, "_from_partner"), (partitions, "_text"),
+                         (partitions, "_pairing_bytes"), (volumes, "_orbit_key")):
+        assert not hasattr(module, name), name
+    assert "_parallel" not in _relative_imports("partitions")
+    assert moments.EXACT_MAX_K is partitions.MAX_GROUND_SET
+
+
+def _tracer_table(name: str):
+    """The literal table ``name`` of the benchmark's perfbench/tracer.py, read
+    from its source without importing or running it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py has no table {name}")
+
+
+def _attribute(module: str, path: str):
+    owner = importlib.import_module(module)
+    for name in path.split("."):
+        owner = getattr(owner, name)
+    return owner
+
+
+def test_benchmark_wrap_points_resolve():
+    # the tracer wraps each name where its caller looks it up; a renamed or
+    # removed one makes every metric that depends on it read "missing"
+    for module, path, _ in _tracer_table("WRAPS"):
+        assert callable(_attribute(module, path)), (module, path)
+    for module in _tracer_table("PARALLEL_MAPS"):
+        assert callable(_attribute(module, "parallel_map")), module
+    for module, function, _ in _tracer_table("CACHE_COUNTERS"):
+        assert hasattr(_attribute(module, function), "cache_info"), (module, function)

@@ -375,6 +375,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("simulate", "--generator", "curie-weiss", "--beta", "inf", "--n", "5", "--realizations", "2"),
     ("simulate", "--n", "20", "--realizations", "2", "--range", "0", "inf"),
     ("volume", "1-3,2-4", "--samples", "1000000001"),
+    ("volume", "1-3,2", "--samples", "1000"),
 ])
 def test_bad_input_exits_before_creating_out_dir(tmp_path, capsys, argv):
     target = tmp_path / "d"
@@ -434,7 +435,7 @@ def test_version_flag(capsys):
     assert "corrdiag" in capsys.readouterr().out
 
 
-def test_partitions_memory_guard_exits_before_allocating(tmp_path, capsys):
+def test_partitions_cap_exits_before_allocating(tmp_path, capsys):
     import tracemalloc
 
     target = tmp_path / "d"
@@ -445,6 +446,6 @@ def test_partitions_memory_guard_exits_before_allocating(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "memory guard" in err
+    assert err.startswith("error:") and "exceeds the enumeration cap 14" in err
     assert not target.exists()
-    assert peak < 2**22  # the 2,027,025 pairings would need over a gigabyte
+    assert peak < 2**22  # the cap refuses the 2,027,025 pairings before any is built

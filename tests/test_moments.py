@@ -130,7 +130,7 @@ def test_default_sample_budget_sane():
 
 def test_orbit_walk_partitions_the_pairings():
     for k in range(2, 13, 2):
-        pairings = [p.partner() for p in enumerate_pair_partitions(k)]
+        pairings = [p.partner for p in enumerate_pair_partitions(k)]
         met, tallied = Counter(), 0
         for members, tally in _orbit_walk(k):
             assert (2 * k) % len(members) == 0

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corrdiag.partitions import (
+    MAX_GROUND_SET,
     PairPartition,
     _dihedral_images,
-    _from_partner,
     _pairings,
     enumerate_pair_partitions,
     height,
@@ -80,12 +80,12 @@ def test_canonical_roundtrip():
 
 
 def test_validation_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        PairPartition(4, ((1, 2), (2, 4)))  # reused element
-    with pytest.raises(ValueError):
-        PairPartition(4, ((2, 1), (3, 4)))  # not increasing
-    with pytest.raises(ValueError):
-        PairPartition(4, ((1, 2),))  # misses 3, 4
+    assert PairPartition((2, 3, 0, 1)).blocks == ((1, 3), (2, 4))
+    for partner in ((0, 1), (1, 0, 3, 3), (1, 2, 0, 3), (2, 0, 1), (1, 0, 2), (), (1, 4, 3, 2),
+                    (1, 0, -1, 2)):
+        # fixed points, non-involutions, odd lengths, empty, out of range
+        with pytest.raises(ValueError, match="not the partner tuple"):
+            PairPartition(partner)
     with pytest.raises(ValueError):
         enumerate_pair_partitions(3)
     with pytest.raises(ValueError):
@@ -115,35 +115,47 @@ def test_partner_tuple_height_and_crossing_match_the_block_definitions():
         for p in enumerate_pair_partitions(k):
             assert is_crossing(p) == _crossing_by_blocks(p), p.canonical()
             assert height(p) == _height_by_windows(p), p.canonical()
-            assert p.partner()[p.blocks[0][0] - 1] == p.blocks[0][1] - 1
+            assert p.partner[p.blocks[0][0] - 1] == p.blocks[0][1] - 1
 
 
 def test_partner_tuples_enumerate_in_block_list_order():
     for k in (2, 4, 6, 8):
-        assert [_from_partner(partner) for partner in _pairings(k)] == enumerate_pair_partitions(k)
+        assert [PairPartition(partner) for partner in _pairings(k)] == enumerate_pair_partitions(k)
 
 
 def test_dihedral_images_are_the_rotations_and_reflections():
     p = PairPartition.from_string("1-3,2-6,4-7,5-8")
     k = p.k
-    images = _dihedral_images(p.partner())
-    assert len(images) == 2 * k and images[0] == p.partner()
+    images = _dihedral_images(p.partner)
+    assert len(images) == 2 * k and images[0] == p.partner
     expected = set()
     for r in range(k):
         for flip in (False, True):
-            moved = [tuple(sorted(((k - x if flip else x - 1) + r) % k + 1 for x in block))
-                     for block in p.blocks]
-            expected.add(PairPartition(k, tuple(sorted(moved))).partner())
+            moved = [(((k - x if flip else x - 1) + r) % k + 1 for x in block) for block in p.blocks]
+            expected.add(PairPartition.from_string(",".join(f"{a}-{b}" for a, b in moved)).partner)
     assert set(images) == expected
     # the symmetric pairing 1-2,3-4 has only two distinct images
-    assert len(set(_dihedral_images(PairPartition.from_string("1-2,3-4").partner()))) == 2
+    assert len(set(_dihedral_images(PairPartition.from_string("1-2,3-4").partner))) == 2
 
 
-def test_enumeration_memory_guard_admits_k12_and_refuses_k16():
-    from corrdiag import _parallel
+def test_enumeration_cap_admits_k14_and_refuses_k16():
+    import tracemalloc
 
-    assert _parallel.MEMORY_GUARD == 2**30
-    for k in range(2, 13, 2):
-        enumerate_pair_partitions(k)
-    with pytest.raises(ValueError, match="memory guard"):
-        enumerate_pair_partitions(16)
+    assert MAX_GROUND_SET == 14
+    assert len(enumerate_pair_partitions(14)) == 135_135
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 14"):
+            enumerate_pair_partitions(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+
+
+def test_from_string_names_the_text_it_refuses():
+    assert PairPartition.from_string("2-4,3-1") == PairPartition.from_string("1-3,2-4")
+    for text in ("1-3,2", "a-b", "1-2-3,4-5", "", "1-2,2-4", "1-1", "1-5,2-3", "0-1", "-1-2"):
+        # malformed chunks, reused elements, out-of-range elements
+        with pytest.raises(ValueError, match=f"{text!r} is not a pair partition"):
+            PairPartition.from_string(text)

@@ -29,6 +29,15 @@ def test_eigenvalues_rejects_bad_input():
         eigenvalues_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("route", [eigenvalues_symmetric, lambda m: trace_moment_direct(m, 1)],
+                         ids=["eigenvalues", "trace"])
+def test_both_routes_refuse_a_non_square_or_non_finite_matrix(route):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        route(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        route(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_empirical_vs_trace_power_routes():
     m = build_matrix(120, Equicorrelated(0.3), realization=0, seed=8)
     moments = empirical_moments(eigenvalues_symmetric(m), 12)

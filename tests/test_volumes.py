@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrdiag.volumes as vol
-from corrdiag.partitions import PairPartition, enumerate_pair_partitions, is_crossing
+from corrdiag.partitions import (PairPartition, _dihedral_images, enumerate_pair_partitions,
+                                 is_crossing)
 from corrdiag.volumes import (
     VolumeCache,
     VolumeEstimate,
     _fit_polynomial,
     _hits,
     _lattice_counts,
-    _orbit_key,
     _rows_that_can_fail,
     _totally_unimodular,
     exact_volume,
@@ -175,7 +175,7 @@ def test_volume_guard_refuses_huge_k_before_solving(monkeypatch):
 
     # 1000 blocks, the first two crossing: one 2^18-point chunk would hold
     # about 5 GB of coordinates, constraint values and booleans
-    p = PairPartition(2000, ((1, 3), (2, 4), *((i, i + 1) for i in range(5, 2000, 2))))
+    p = PairPartition((2, 3, 0, 1, *(i ^ 1 for i in range(4, 2000))))
     called = []
     monkeypatch.setattr(vol, "_hits", lambda *args: called.append(args))
     monkeypatch.setenv("CORRDIAG_THREADS", "1")
@@ -243,6 +243,11 @@ def _crossing(k):
     return [p for p in enumerate_pair_partitions(k) if is_crossing(p)]
 
 
+def _least(p):
+    # the key of p's dihedral orbit: the least partner tuple among its images
+    return min(_dihedral_images(p.partner))
+
+
 def test_exact_volumes_frozen():
     assert exact_volume(PairPartition.from_string("1-3,2-4")) == Fraction(2, 3)
     assert exact_volume(PairPartition.from_string("1-4,2-5,3-6")) == Fraction(1, 2)
@@ -293,9 +298,9 @@ def test_lattice_counts_with_wider_coefficients_match_brute_force():
 
 
 def _orbits(max_k):
-    return [PairPartition.from_string(key)
-            for key in dict.fromkeys(_orbit_key(p) for k in range(4, max_k + 1, 2)
-                                     for p in _crossing(k))]
+    return [PairPartition(least)
+            for least in dict.fromkeys(_least(p) for k in range(4, max_k + 1, 2)
+                                       for p in _crossing(k))]
 
 
 def test_determined_rows_are_totally_unimodular():
@@ -334,14 +339,14 @@ def test_lattice_polynomial_is_invariant_on_dihedral_orbits():
     for k in (4, 6, 8):
         for p in enumerate_pair_partitions(k):
             assert lattice_polynomial(p) == lattice_polynomial(
-                PairPartition.from_string(_orbit_key(p))), p.canonical()
+                PairPartition(_least(p))), p.canonical()
     orbits = defaultdict(list)
     for p in _crossing(10):
-        orbits[_orbit_key(p)].append(p)
+        orbits[_least(p)].append(p)
     assert len(orbits) == 73
     # one orbit, 1-6,2-7,3-8,4-9,5-10, is its only member
-    for key, members in orbits.items():
-        other = next((p for p in members if p.canonical() != key), None)
+    for least, members in orbits.items():
+        other = next((p for p in members if p.partner != least), None)
         if other is None:
             assert members == [PairPartition.from_string("1-6,2-7,3-8,4-9,5-10")]
             continue
@@ -353,8 +358,8 @@ def test_orbit_key_is_shared_by_rotations_and_the_reflection():
     k = p.k
     rotated = PairPartition.from_string(",".join(f"{a % k + 1}-{b % k + 1}" for a, b in p.blocks))
     reflected = PairPartition.from_string(",".join(f"{k + 1 - a}-{k + 1 - b}" for a, b in p.blocks))
-    assert _orbit_key(p) == _orbit_key(rotated) == _orbit_key(reflected)
-    assert _orbit_key(p) != _orbit_key(PairPartition.from_string("1-3,2-4,5-7,6-8"))
+    assert _least(p) == _least(rotated) == _least(reflected)
+    assert _least(p) != _least(PairPartition.from_string("1-3,2-4,5-7,6-8"))
 
 
 # the odd cycle: its determinant is 2, so it is not totally unimodular
