@@ -16,6 +16,7 @@ two (CORRDIAG_THREADS=2, on a 2-core machine), order 16 would take hours.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Iterator
 from fractions import Fraction
@@ -82,7 +83,7 @@ def _orbit_walk(k: int) -> Iterator[tuple[set[tuple[int, ...]], list[int]]]:
     assert not ahead, "an orbit member was never enumerated"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 4 must not answer 4.0
 def exact_moment_polynomial(k: int) -> tuple[Fraction, ...]:
     """Coefficients of m_k(c), constant first, for even k: pairing p adds
     its exact volume to the coefficient of c^(k/2 - height(p)).
@@ -115,8 +116,8 @@ def limiting_moment(k: int, c: float) -> float:
     """Moment of order k of the limiting distribution with correlation c:
     `exact_moment_polynomial` at Fraction(c), rounded to float once.  Odd
     orders are 0; ValueError for an even order above EXACT_MAX_K."""
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"moment order must be an integer >= 1, got {k}")
     if not math.isfinite(c):
         raise ValueError(f"correlation must be finite, got {c}")
     if k % 2:

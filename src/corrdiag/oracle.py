@@ -44,21 +44,22 @@ worker and its memory stays bounded whatever n is.  The tally of all
 walks by t, which the non-pair count needs, is read off the block's
 (run, max) counts: a walk's trailing run reaches into its prefix only
 through a block of non-zero sites, and its span is the larger of the two
-maxima.  `_slab` lays out a slab's sites, row 0 all zeros, and two bitmasks
-per walk with one bit per pair of steps, |d_i| = |d_j| and d_i = -d_j,
-taking the block's pairs from the block and working out only the pairs
-with a step outside it.  A partition's signature sets one bit per block,
-k/2 in all, and a walk's |step| mask equals at most one signature.  So one
-bit count keeps the walks whose mask has k/2 bits, one sorted lookup
-assigns each of those to its partition or to none, and `np.bincount`
-tallies every partition in that one pass.  Shared cells are worked out
-afterwards, for the opposed walks only.
+maxima.  `_slab` builds two bitmasks per walk with one bit per pair of
+steps, |d_i| = |d_j| and d_i = -d_j, taking the block's pairs from the
+block and working out only the pairs with a step outside it.  A
+partition's signature sets one bit per block, k/2 in all, and a walk's
+|step| mask equals at most one signature.  So one bit count keeps the
+walks whose mask has k/2 bits, one sorted lookup assigns each of those to
+its partition or to none, and `np.bincount` tallies every partition in
+that one pass.  Then only the opposed walks' sites are gathered, for the
+shared-cell histogram, whose total is each partition's opposed count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -85,7 +86,7 @@ class PartitionTally:
     """Counts of one partition's walks, all read off the scan."""
 
     matched: int = 0
-    opposed: int = 0
+    opposed: int = 0  # the total of shared_cells: each opposed walk has one m
     shared_cells: dict[int, int] = field(default_factory=dict)  # m value -> opposed walks
     block_ties: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -114,14 +115,14 @@ def _census_bytes(n: int, k: int) -> int:
 
     Each worker holds one slab of W <= min(n^(k-1), _SLAB) walks from
     p_1 = 0 at a time.  With b = 4 or 8 bytes per bitmask, a slab being
-    tallied holds W(2k + 3 + 2b) bytes: its k x W int16 sites, its two
-    bitmasks, an int8 trailing run and an int16 weight.  (Building the slab
-    takes at most W(9 + b) more, for the bytes the bits are gathered in,
-    the junction step and the temporaries of one step pair, less than the
-    lookup below.)  On top of that comes the lookup and shared cells: at
-    most W(2b + 56) when every walk is a candidate (has k/2 |step| bits),
-    as at k = 2, for the candidates' masks, int64 indices, slots and keys,
-    and their bincount weights.  A slab's P <= min(n^(k-1-m), _SLAB)
+    tallied holds W(3 + 2b) bytes: its two bitmasks, an int8 trailing run
+    and an int16 weight.  (Building the slab takes at most W(9 + b) more,
+    for the bytes the bits are gathered in, the junction step and the
+    temporaries of one step pair, less than the lookup below.)  On top of
+    that comes the lookup and shared cells: at most W(2k + 2b + 56) when
+    every walk is an opposed candidate, as at k = 2, for the candidates'
+    masks, int64 indices, slots and keys, their bincount weights, and the
+    opposed walks' int16 sites.  A slab's P <= min(n^(k-1-m), _SLAB)
     prefixes take at most P(12k + 40): their int64 indices and digits, int16
     sites and steps, and the translates of the block under each.
 
@@ -134,9 +135,8 @@ def _census_bytes(n: int, k: int) -> int:
 
     A worker also keeps up to four sets of tallies (its running total, a
     slab's counts, and their sum over workers as float64 and int64), each
-    8k(P(pairs + k/2 + 3) + 1) bytes for P pair partitions: matched,
-    opposed, the shared-cell histogram and the block ties, by t, and all
-    walks by t.
+    8k(P(pairs + k/2 + 2) + 1) bytes for P pair partitions: matched, the
+    shared-cell histogram and the block ties, by t, and all walks by t.
 
     The Python objects and array headers every census holds whatever its
     shape add `_CENSUS_OBJECTS`, counted as if every worker held them.
@@ -147,7 +147,7 @@ def _census_bytes(n: int, k: int) -> int:
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
     return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
             + n**m * (10 * m + 30) + 48 * (m + 1) * n
-            + 32 * k * (parts * (pairs + k // 2 + 3) + 1) + _CENSUS_OBJECTS)
+            + 32 * k * (parts * (pairs + k // 2 + 2) + 1) + _CENSUS_OBJECTS)
 
 
 def _check_cost(n: int, k: int) -> None:
@@ -155,9 +155,10 @@ def _check_cost(n: int, k: int) -> None:
     partitions, sites past int16, more scanned walks n^(k-1) than
     `COST_GUARD`, too many step pairs for one bitmask, or more census
     bytes, one slab per worker, than the memory guard allows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
     _check_ground_set(k)
+    n, k = int(n), int(k)  # a NumPy n ** (k - 1) would wrap past int64
     if n >= 2**15:
         raise ValueError(f"n={n}: the census's int16 sites and weights hold n < 2^15")
     if n ** (k - 1) > COST_GUARD:
@@ -192,15 +193,15 @@ def _pair_index(k: int) -> list[tuple[int, int]]:
 
 
 def _signatures(k: int):
-    """The canonical forms of k's pair partitions in order of their
-    signatures, and those signatures, sorted for the census's lookup.  A
-    partition's signature sets bit b when pair b of `_pair_index` is one of
-    its blocks (0-based)."""
-    bit = {(i + 1, j + 1): b for b, (i, j) in enumerate(_pair_index(k))}
-    signature = {p.canonical(): sum(1 << bit[ab] for ab in p.blocks)
+    """k's pair partitions in order of their signatures, the census's rows,
+    and those signatures, sorted for the census's lookup.  A partition's
+    signature sets bit b when pair b of `_pair_index` is one of its blocks
+    (0-based)."""
+    bit = {ij: b for b, ij in enumerate(_pair_index(k))}
+    signature = {p: sum(1 << bit[i, j] for i, j in enumerate(p.partner) if i < j)
                  for p in enumerate_pair_partitions(k)}
     ordered = sorted(signature, key=signature.get)
-    return ordered, np.array([signature[key] for key in ordered], dtype=_mask_dtype(k))
+    return ordered, np.array([signature[p] for p in ordered], dtype=_mask_dtype(k))
 
 
 def _trailing_axes(n: int, k: int) -> int:
@@ -286,11 +287,12 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     covers whole prefixes (p_2, ..., p_{k-m}), each followed by every kept
     walk of the block.
 
-    Returns their sites, a (k, W) int16 array with one column per walk and
-    row 0 all zeros; their bitmasks |d_i| = |d_j| and d_i = -d_j, one row
-    each; their trailing runs t (int8) and spans s (int16); and ``every``,
-    all walks of [lo, hi), kept or not, weighted by n - s and keyed by t
-    (k,) in int64, read off the block's translates by (run, prefix max)."""
+    Returns the sites of its P prefixes, (k - 1 - m, P) int16, walk w being
+    block walk w % V of prefix w // V for V kept block walks; the bitmasks
+    |d_i| = |d_j| and d_i = -d_j, one row each; their trailing runs t
+    (int8) and spans s (int16); and ``every``, all walks of [lo, hi), kept
+    or not, weighted by n - s and keyed by t (k,) in int64, read off the
+    block's translates by (run, prefix max)."""
     n, k, m = tail.n, tail.k, len(tail.sites)
     head, width = k - 1 - m, tail.sites.shape[1]
     first = np.arange(lo // n**m, min(hi, n ** (k - 1)) // n**m)
@@ -305,9 +307,6 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     trailing = (np.multiply.outer(run, tail.run == m) + tail.run).reshape(-1)
     span = np.maximum.outer(top, tail.top).reshape(-1)
 
-    rows = np.zeros((k, len(first), width), dtype=np.int16)
-    rows[1:head + 1] = prefix[:, :, None]
-    rows[head + 1:] = tail.sites[:, None, :]
     masks = np.empty((2, len(first), width), dtype=tail.masks.dtype)
     masks[:] = tail.masks[:, None, :]
     # the pairs with a step outside the block, sites taken as (P, 1) prefixes by (1, V) block walks
@@ -316,8 +315,7 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     steps = [b - a for a, b in zip(positions, positions[1:])]
     _add_pairs(masks, [(bit, steps[i], steps[j])
                        for bit, (i, j) in enumerate(_pair_index(k)) if i < k - m])
-    walks = len(first) * width
-    return rows.reshape(k, walks), masks.reshape(2, walks), trailing, span, every
+    return prefix, masks.reshape(2, len(first) * width), trailing, span, every
 
 
 def _shared_cells(rows: np.ndarray):
@@ -357,19 +355,19 @@ def _weighted_counts(key: np.ndarray, weight: np.ndarray, size: int) -> np.ndarr
 
 def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray):
     """Counts of the walks of slab [lo, hi), each weighted by its n - s
-    translates (s its span) and keyed by t, its trailing run: matched and
-    opposed (P, k) with row r for the partition whose signature is
-    ``signatures[r]`` (sorted), the shared-cell histogram (P, k, pairs + 1),
-    the cell ties of each block (P, k, k/2), blocks in bit order, and all
-    the slab's walks (k,), int64 from `_slab`.  Each kept walk is visited
-    once; shared cells are worked out for the opposed walks only.
+    translates (s its span) and keyed by t, its trailing run: matched
+    (P, k) with row r for the partition whose signature is
+    ``signatures[r]`` (sorted), the opposed walks' shared-cell histogram
+    (P, k, pairs + 1), the cell ties of each block (P, k, k/2), blocks in
+    bit order, and all the slab's walks (k,), int64 from `_slab`.  Each
+    kept walk is visited once; only the opposed walks' sites are gathered.
 
     ``np.bincount`` sums the other tallies' weights in float64.  Every sum
     counts at most n^k walks, and `_check_cost` keeps n < 2^15 and
     n^(k-1) <= COST_GUARD, so n^k < 2^15 * 10^8 < 2^53: each sum is an exact
     integer and is cast back to int64 without loss."""
     n, k = tail.n, tail.k
-    rows, (eq, neg), trailing, span, every = _slab(tail, lo, hi)
+    prefix, (eq, neg), trailing, span, every = _slab(tail, lo, hi)
     weight = n - span  # int16: `_check_cost` keeps n below 2^15
     del span
     parts, pairs, half = len(signatures), k * (k - 1) // 2, k // 2
@@ -386,9 +384,11 @@ def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray
 
     hit = (neg & eq) == eq
     walks, key, eq = walks[hit], key[hit], eq[hit]
-    cell, cell_count = _shared_cells(rows[:, walks])
+    width = tail.sites.shape[1]
+    cell, cell_count = _shared_cells(np.concatenate([
+        np.zeros((1, len(walks)), dtype=np.int16), prefix[:, walks // width],
+        tail.sites[:, walks % width]]))
     weight = weight[walks]
-    opposed = _weighted_counts(key, weight, parts * k)
     cells = _weighted_counts(key * (pairs + 1) + cell_count, weight, parts * k * (pairs + 1))
 
     # only block bits can tie: take each walk's blocks from its lowest bit up
@@ -400,15 +400,15 @@ def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray
         tied = (cell & low) != 0
         block_ties[:, block] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
         eq ^= low
-    return (matched.reshape(parts, k), opposed.reshape(parts, k),
-            cells.reshape(parts, k, pairs + 1), block_ties.reshape(parts, k, half), every)
+    return (matched.reshape(parts, k), cells.reshape(parts, k, pairs + 1),
+            block_ties.reshape(parts, k, half), every)
 
 
 def _rotations(k: int, signatures: np.ndarray):
-    """Where rotation j, w -> roll(w, j), sends each partition slot, each
-    pair bit and each block of each slot: (k, P) slots, (k, pairs) bits and
-    (k, P, k/2) block ordinals, blocks in bit order.  Step d_a of w is step
-    d_{a+j} (mod k) of roll(w, j), so pair (a, b) becomes (a+j, b+j)."""
+    """Where rotation j, w -> roll(w, j), sends each partition slot and each
+    block of each slot: (k, P) slots and (k, P, k/2) block ordinals, blocks
+    in bit order.  Step d_a of w is step d_{a+j} (mod k) of roll(w, j), so
+    pair (a, b) becomes (a+j, b+j)."""
     pair_index = _pair_index(k)
     bit = {ij: b for b, ij in enumerate(pair_index)}
     bit_of = np.array([[bit[tuple(sorted(((a + j) % k, (b + j) % k)))] for a, b in pair_index]
@@ -417,7 +417,7 @@ def _rotations(k: int, signatures: np.ndarray):
     moved = np.int64(1) << bit_of[:, blocks.reshape(len(signatures), k // 2)]
     rotated = moved.sum(axis=2)
     # a moved block's ordinal is the number of the rotated partition's bits below it
-    return (np.searchsorted(signatures, rotated), bit_of,
+    return (np.searchsorted(signatures, rotated),
             np.bitwise_count(rotated[..., None] & (moved - 1)))
 
 
@@ -434,10 +434,11 @@ def _credit_rotations(counts: np.ndarray, slot_of: np.ndarray, block_of=None) ->
     return total
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: a cached (5, 4) must not answer (5, 4.0)
 def walk_census(n: int, k: int) -> WalkCensus:
     """Exact per-partition walk counts at size n; treat the result as read-only."""
     _check_cost(n, k)
+    n, k = int(n), int(k)
     ordered, signatures = _signatures(k)
     tail = _trailing_block(n, k)
     slabs = _slabs(n, k, tail.sites.shape[1])
@@ -450,20 +451,18 @@ def walk_census(n: int, k: int) -> WalkCensus:
                 held += counts
         return total
 
-    matched, opposed, cells, ties, every = (
+    matched, cells, ties, every = (
         sum(column).astype(np.int64) for column in zip(*parallel_map(tally, slabs)))
     # a walk with trailing run t stands for its 1 + t rotations
     nonpair = int(np.arange(1, k + 1) @ (every - matched.sum(axis=0)))
-    slot_of, _, block_of = _rotations(k, signatures)
-    matched, opposed, cells = (_credit_rotations(c, slot_of) for c in (matched, opposed, cells))
+    slot_of, block_of = _rotations(k, signatures)
+    matched, cells = (_credit_rotations(c, slot_of) for c in (matched, cells))
     ties = _credit_rotations(ties, slot_of, block_of)
-    row = {key: r for r, key in enumerate(ordered)}
     tallies = {}
-    for p in enumerate_pair_partitions(k):
-        r = row[p.canonical()]
+    for r, p in enumerate(ordered):
         tallies[p.canonical()] = PartitionTally(
             matched=int(matched[r]),
-            opposed=int(opposed[r]),
+            opposed=int(cells[r].sum()),
             shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
             block_ties={block: int(ties[r, o]) for o, block in enumerate(p.blocks)},
         )

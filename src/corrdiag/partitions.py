@@ -8,6 +8,8 @@ one, with its blocks and text read off the tuple.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +20,7 @@ MAX_GROUND_SET = 14
 
 
 def _check_ground_set(k: int) -> None:
-    if k < 2 or k % 2:
+    if not isinstance(k, numbers.Integral) or k < 2 or k % 2:
         raise ValueError(f"k must be a positive even integer, got {k}")
     if k > MAX_GROUND_SET:
         raise ValueError(f"k={k} exceeds the enumeration cap {MAX_GROUND_SET}")
@@ -36,7 +38,10 @@ class PairPartition:
     partner: tuple[int, ...]
 
     def __post_init__(self):
-        partner = self.partner
+        # any sequence of integers is stored as a tuple of ints, so that
+        # equal pairings compare and hash equal
+        partner = tuple(map(operator.index, self.partner))
+        object.__setattr__(self, "partner", partner)
         k = len(partner)
         if k < 2 or k % 2 or any(not 0 <= j < k or j == i or partner[j] != i
                                  for i, j in enumerate(partner)):

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import corrdiag
+from corrdiag.cli import build_parser
 
 
 def _imported_names() -> list[str]:
@@ -93,3 +95,23 @@ def test_benchmark_wrap_points_resolve():
         assert callable(_attribute(module, "parallel_map")), module
     for module, function, _ in _tracer_table("CACHE_COUNTERS"):
         assert hasattr(_attribute(module, function), "cache_info"), (module, function)
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    # every argv the benchmark runs must still parse: a dropped flag would
+    # otherwise show only as a failed benchmark run.  perfbench/workloads.py
+    # is imported read-only, with no bytecode written beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+        parser = build_parser()
+        for size in ("full", "toy"):
+            for workload in workloads.WORKLOADS:
+                ops = workloads.workload_ops(workload, seed=1, size=size)
+                assert ops, (workload, size)
+                for op in ops:
+                    parser.parse_args(op.argv)
+    finally:
+        for name in ("workloads", "matrices"):
+            sys.modules.pop(name, None)

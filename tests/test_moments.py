@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +123,19 @@ def test_non_finite_correlation_rejected(capsys):
                 limiting_moment(k, c)
     assert main(["moments", "--k", "4", "--c", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_non_integer_orders_rejected_at_the_input_check():
+    # a float order is refused at the input check, an odd one too: no 0.0 for 3.0
+    for k in (4.0, 3.0, 2.5, "4"):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            limiting_moment(k, 0.5)
+        with pytest.raises(ValueError, match=f"got {k}"):
+            enumerate_pair_partitions(k)
+        with pytest.raises(ValueError, match=f"got {k}"):
+            exact_moment_polynomial(k)
+    assert limiting_moment(np.int64(4), 0.5) == limiting_moment(4, 0.5)
+    assert enumerate_pair_partitions(np.int32(6)) == enumerate_pair_partitions(6)
 
 
 def test_default_sample_budget_sane():

@@ -362,6 +362,17 @@ def test_memory_guard_counts_slabs_not_requested_threads(monkeypatch):
     _check_cost(60, 4)
 
 
+def test_non_integer_sizes_rejected_at_the_input_check():
+    walk_census(5, 4)  # a cached census must not answer a float size
+    for n, k in ((5, 4.0), (5.0, 4), (5, 5.0)):
+        with pytest.raises(ValueError, match=r"integer.*, got [45]\.0$"):
+            walk_census(n, k)
+    # NumPy integers are sizes too, and the census holds Python ints
+    census = walk_census.__wrapped__(np.int64(5), np.int32(4))
+    assert census_report(census) == census_report(walk_census(5, 4))
+    assert type(census.n) is int and type(census.k) is int
+
+
 def test_mask_width_guard_rejects_k12():
     # k=12 has 66 step pairs, more than one int64 bitmask can hold
     with pytest.raises(ValueError, match="step pairs"):
@@ -373,11 +384,14 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
     # the census scans only the walks from p_1 = 0 and credits each walk w to
     # roll(w, j) for j = 0..t(w): each such rotation has its first 0 at index
     # j, and its |step|, reversal and cell-sharing pairs are w's pairs moved
-    # by the rotation tables the census credits them through
+    # by the rotation, pair (a, b) to (a+j, b+j) mod k; the census credits
+    # them through the rotated slots and block ordinals
     rows = _grid(n, k)
     pair_index = _pair_index(k)
+    bit_of = np.array([[pair_index.index(tuple(sorted(((a + j) % k, (b + j) % k))))
+                        for a, b in pair_index] for j in range(k)])
     ordered, signatures = _signatures(k)
-    slot_of, bit_of, block_of = _rotations(k, signatures)
+    slot_of, block_of = _rotations(k, signatures)
     trailing, span = _trailing_and_span(rows)
     for column in range(rows.shape[1]):
         walk = tuple(rows[:, column].tolist())
@@ -397,8 +411,8 @@ def test_rotation_maps_tallies_to_rotated_partitions(n, k):
             assert signatures[slot_of[j, slot]] == rotated
             # block o of the partition, in p.blocks order, is block block_of[j, slot, o]
             # of the rotated partition
-            blocks = PairPartition.from_string(ordered[slot_of[j, slot]]).blocks
-            for o, (a, b) in enumerate(PairPartition.from_string(ordered[slot]).blocks):
+            blocks = ordered[slot_of[j, slot]].blocks
+            for o, (a, b) in enumerate(ordered[slot].blocks):
                 moved = tuple(sorted(((a - 1 + j) % k + 1, (b - 1 + j) % k + 1)))
                 assert blocks.index(moved) == block_of[j, slot, o]
 
@@ -457,7 +471,8 @@ def test_every_signature_has_one_bit_per_block():
     # partition may have a signature with any other bit count
     for k in range(2, 12, 2):
         ordered, signatures = _signatures(k)
-        assert sorted(ordered) == sorted(p.canonical() for p in enumerate_pair_partitions(k))
+        assert len(ordered) == len(set(ordered))
+        assert set(ordered) == set(enumerate_pair_partitions(k))
         assert {int(s).bit_count() for s in signatures} == {k // 2}
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +91,17 @@ def test_validation_rejects_bad_blocks():
         enumerate_pair_partitions(3)
     with pytest.raises(ValueError):
         enumerate_pair_partitions(18)  # above the enumeration cap
+
+
+def test_partner_sequences_are_stored_as_int_tuples():
+    # equality and hashing are canonical whatever sequence of integers is given
+    p = PairPartition((1, 0, 3, 2))
+    for partner in ([1, 0, 3, 2], np.array([1, 0, 3, 2]), (np.int64(1), 0, 3, 2)):
+        q = PairPartition(partner)
+        assert q == p and hash(q) == hash(p) and {q: 1}[p] == 1
+        assert type(q.partner) is tuple and all(type(j) is int for j in q.partner)
+    with pytest.raises(TypeError):
+        PairPartition([1.0, 0, 3, 2])
 
 
 def test_enumeration_is_sorted_and_unique():
