@@ -409,4 +409,7 @@ def run_acceptance(
     invalid = [number for number in selected if number not in _CRITERIA]
     if invalid:
         raise ValueError(f"no criterion {invalid[0]}; valid: {sorted(_CRITERIA)}")
+    repeated = [number for number in selected if selected.count(number) > 1]
+    if repeated:
+        raise ValueError(f"criterion {repeated[0]} is selected more than once")
     return [_CRITERIA[number](seed, Path(out_dir)) for number in selected]

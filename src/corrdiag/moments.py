@@ -35,8 +35,6 @@ EXACT_MAX_K = MAX_GROUND_SET  # largest order whose moments are computed
 def catalan(m: int) -> int:
     if m < 0:
         raise ValueError(f"catalan index must be >= 0, got {m}")
-    if m > 30:
-        raise ValueError(f"catalan({m}) exceeds the supported exact range (m <= 30)")
     return math.comb(2 * m, m) // (m + 1)
 
 

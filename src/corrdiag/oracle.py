@@ -51,8 +51,10 @@ partition's signature sets one bit per block, k/2 in all, and a walk's
 |step| mask equals at most one signature.  So one bit count keeps the
 walks whose mask has k/2 bits, one sorted lookup assigns each of those to
 its partition or to none, and `np.bincount` tallies every partition in
-that one pass.  Then only the opposed walks' sites are gathered, for the
-shared-cell histogram, whose total is each partition's opposed count.
+that one pass.  The masks are the only per-walk arrays: a matched walk's
+t and span, and an opposed walk's sites, are read off its prefix and
+block walk.  The opposed walks' shared-cell histogram totals each
+partition's opposed count.
 """
 
 from __future__ import annotations
@@ -86,18 +88,24 @@ class PartitionTally:
     """Counts of one partition's walks, all read off the scan."""
 
     matched: int = 0
-    opposed: int = 0  # the total of shared_cells: each opposed walk has one m
     shared_cells: dict[int, int] = field(default_factory=dict)  # m value -> opposed walks
     block_ties: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def opposed(self) -> int:  # each opposed walk has one m
+        return sum(self.shared_cells.values())
 
 
 @dataclass(eq=False)
 class WalkCensus:
     n: int
     k: int
-    total_walks: int
     tallies: dict[str, PartitionTally]
     nonpair_walks: int  # walks that matched no partition, credited from the scanned ones
+
+    @property
+    def total_walks(self) -> int:
+        return self.n ** self.k
 
     def partition_sum_identity(self) -> bool:
         """Matched plus non-pair walks, each credited from the scanned walks,
@@ -115,16 +123,17 @@ def _census_bytes(n: int, k: int) -> int:
 
     Each worker holds one slab of W <= min(n^(k-1), _SLAB) walks from
     p_1 = 0 at a time.  With b = 4 or 8 bytes per bitmask, a slab being
-    tallied holds W(3 + 2b) bytes: its two bitmasks, an int8 trailing run
-    and an int16 weight.  (Building the slab takes at most W(9 + b) more,
-    for the bytes the bits are gathered in, the junction step and the
-    temporaries of one step pair, less than the lookup below.)  On top of
-    that comes the lookup and shared cells: at most W(2k + 2b + 56) when
-    every walk is an opposed candidate, as at k = 2, for the candidates'
-    masks, int64 indices, slots and keys, their bincount weights, and the
-    opposed walks' int16 sites.  A slab's P <= min(n^(k-1-m), _SLAB)
-    prefixes take at most P(12k + 40): their int64 indices and digits, int16
-    sites and steps, and the translates of the block under each.
+    tallied lays out W(2b) bytes per walk: its two bitmasks, and nothing
+    else.  (Building the slab takes at most W(9 + b) more, for the bytes
+    the bits are gathered in, the junction step and the temporaries of one
+    step pair, less than the lookup below.)  On top of that comes the
+    lookup and shared cells: at most W(2k + 2b + 75) when every walk is an
+    opposed candidate, as at k = 2, for the candidates' masks, int64
+    indices, prefix and block indices, slots and keys, int8 trailing runs
+    and int16 weights, their bincount weights, and the opposed walks' int16
+    sites.  A slab's P <= min(n^(k-1-m), _SLAB) prefixes take at most
+    P(12k + 40): their int64 indices and digits, int16 sites and steps, the
+    translates of the block under each, and their trailing runs and maxima.
 
     The census builds its trailing block of B = n^m <= _SLAB walks once:
     at most B(10m + 30) bytes for its int16 sites, steps and |steps|, the
@@ -145,7 +154,7 @@ def _census_bytes(n: int, k: int) -> int:
     width, prefixes = min(n ** (k - 1), _SLAB), min(n ** (k - 1 - m), _SLAB)
     b = np.dtype(_mask_dtype(k)).itemsize
     parts, pairs = math.prod(range(k - 1, 0, -2)), k * (k - 1) // 2
-    return (width * (2 * k + 59 + 4 * b) + prefixes * (12 * k + 40)
+    return (width * (2 * k + 75 + 4 * b) + prefixes * (12 * k + 40)
             + n**m * (10 * m + 30) + 48 * (m + 1) * n
             + 32 * k * (parts * (pairs + k // 2 + 2) + 1) + _CENSUS_OBJECTS)
 
@@ -213,19 +222,14 @@ def _trailing_axes(n: int, k: int) -> int:
     return m
 
 
-def _slab_step(n: int, k: int, kept: int | None = None) -> int:
-    """Walks of the flattened (p_2, ..., p_k) grid per slab: as many whole
-    prefixes (p_2, ..., p_{k-m}) as fit `_SLAB` walks when each prefix
-    brings the ``kept`` walks of the trailing block (by default all n^m of
-    them, which gives the most slabs)."""
-    block = n ** _trailing_axes(n, k)
-    return _SLAB // max(block if kept is None else kept, 1) * block
-
-
 def _slabs(n: int, k: int, kept: int | None = None) -> range:
     """First walks of the slabs of the flattened (p_2, ..., p_k) grid; slab
-    lo ends at min(lo + step, n^(k-1)), the range's step its width."""
-    return range(0, n ** (k - 1), _slab_step(n, k, kept))
+    lo ends at min(lo + step, n^(k-1)).  The range's step, a slab's width,
+    is as many whole prefixes (p_2, ..., p_{k-m}) as fit `_SLAB` walks when
+    each brings the ``kept`` walks of the trailing block (by default all
+    n^m of them, which gives the most slabs)."""
+    block = n ** _trailing_axes(n, k)
+    return range(0, n ** (k - 1), _SLAB // max(block if kept is None else kept, 1) * block)
 
 
 @dataclass(eq=False)
@@ -289,10 +293,10 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
 
     Returns the sites of its P prefixes, (k - 1 - m, P) int16, walk w being
     block walk w % V of prefix w // V for V kept block walks; the bitmasks
-    |d_i| = |d_j| and d_i = -d_j, one row each; their trailing runs t
-    (int8) and spans s (int16); and ``every``, all walks of [lo, hi), kept
-    or not, weighted by n - s and keyed by t (k,) in int64, read off the
-    block's translates by (run, prefix max)."""
+    |d_i| = |d_j| and d_i = -d_j, one row each, its only per-walk arrays;
+    the prefixes' trailing runs (int8) and maxima (int16); and ``every``,
+    all walks of [lo, hi), kept or not, weighted by n - s and keyed by t
+    (k,) in int64, read off the block's translates by (run, prefix max)."""
     n, k, m = tail.n, tail.k, len(tail.sites)
     head, width = k - 1 - m, tail.sites.shape[1]
     first = np.arange(lo // n**m, min(hi, n ** (k - 1)) // n**m)
@@ -304,8 +308,6 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     every = np.zeros(k, dtype=np.int64)
     every[:m] = by_run[:m].sum(axis=1)
     np.add.at(every, m + run, by_run[m])
-    trailing = (np.multiply.outer(run, tail.run == m) + tail.run).reshape(-1)
-    span = np.maximum.outer(top, tail.top).reshape(-1)
 
     masks = np.empty((2, len(first), width), dtype=tail.masks.dtype)
     masks[:] = tail.masks[:, None, :]
@@ -315,7 +317,7 @@ def _slab(tail: _TrailingBlock, lo: int, hi: int):
     steps = [b - a for a, b in zip(positions, positions[1:])]
     _add_pairs(masks, [(bit, steps[i], steps[j])
                        for bit, (i, j) in enumerate(_pair_index(k)) if i < k - m])
-    return prefix, masks.reshape(2, len(first) * width), trailing, span, every
+    return prefix, masks.reshape(2, len(first) * width), run, top, every
 
 
 def _shared_cells(rows: np.ndarray):
@@ -359,17 +361,16 @@ def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray
     (P, k) with row r for the partition whose signature is
     ``signatures[r]`` (sorted), the opposed walks' shared-cell histogram
     (P, k, pairs + 1), the cell ties of each block (P, k, k/2), blocks in
-    bit order, and all the slab's walks (k,), int64 from `_slab`.  Each
-    kept walk is visited once; only the opposed walks' sites are gathered.
+    bit order, and all the slab's walks (k,), int64 from `_slab`.  Only the
+    bitmasks are laid out per walk: t, s and the opposed walks' sites are
+    read off each matched walk's prefix and block walk.
 
     ``np.bincount`` sums the other tallies' weights in float64.  Every sum
     counts at most n^k walks, and `_check_cost` keeps n < 2^15 and
     n^(k-1) <= COST_GUARD, so n^k < 2^15 * 10^8 < 2^53: each sum is an exact
     integer and is cast back to int64 without loss."""
-    n, k = tail.n, tail.k
-    prefix, (eq, neg), trailing, span, every = _slab(tail, lo, hi)
-    weight = n - span  # int16: `_check_cost` keeps n below 2^15
-    del span
+    n, k, m = tail.n, tail.k, len(tail.sites)
+    prefix, (eq, neg), run, top, every = _slab(tail, lo, hi)
     parts, pairs, half = len(signatures), k * (k - 1) // 2, k // 2
 
     # a signature sets one bit per block, k/2 in all: no other walk can match
@@ -378,27 +379,28 @@ def _slab_tallies(tail: _TrailingBlock, lo: int, hi: int, signatures: np.ndarray
     eq = eq[walks]
     slot = np.minimum(np.searchsorted(signatures, eq), parts - 1)
     hit = signatures[slot] == eq
-    walks, key, eq = walks[hit], slot[hit] * k + trailing[walks[hit]], eq[hit]
+    walks, slot, eq = walks[hit], slot[hit], eq[hit]
     neg = neg[walks]
-    matched = _weighted_counts(key, weight[walks], parts * k)
+    head, block = np.divmod(walks, tail.sites.shape[1])  # w's prefix and block walk, as in `_slab`
+    t = tail.run[block]
+    key = slot * k + run[head] * (t == m) + t
+    weight = n - np.maximum(top[head], tail.top[block])  # int16: `_check_cost` keeps n < 2^15
+    matched = _weighted_counts(key, weight, parts * k)
 
     hit = (neg & eq) == eq
-    walks, key, eq = walks[hit], key[hit], eq[hit]
-    width = tail.sites.shape[1]
+    head, block, key, eq, weight = head[hit], block[hit], key[hit], eq[hit], weight[hit]
     cell, cell_count = _shared_cells(np.concatenate([
-        np.zeros((1, len(walks)), dtype=np.int16), prefix[:, walks // width],
-        tail.sites[:, walks % width]]))
-    weight = weight[walks]
+        np.zeros((1, len(key)), dtype=np.int16), prefix[:, head], tail.sites[:, block]]))
     cells = _weighted_counts(key * (pairs + 1) + cell_count, weight, parts * k * (pairs + 1))
 
     # only block bits can tie: take each walk's blocks from its lowest bit up
     hit = (cell & eq) != 0
     key, cell, eq, weight = key[hit], cell[hit], eq[hit], weight[hit]
     block_ties = np.zeros((parts * k, half))
-    for block in range(half):
+    for ordinal in range(half):
         low = eq & -eq
         tied = (cell & low) != 0
-        block_ties[:, block] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
+        block_ties[:, ordinal] = np.bincount(key[tied], weights=weight[tied], minlength=parts * k)
         eq ^= low
     return (matched.reshape(parts, k), cells.reshape(parts, k, pairs + 1),
             block_ties.reshape(parts, k, half), every)
@@ -458,15 +460,11 @@ def walk_census(n: int, k: int) -> WalkCensus:
     slot_of, block_of = _rotations(k, signatures)
     matched, cells = (_credit_rotations(c, slot_of) for c in (matched, cells))
     ties = _credit_rotations(ties, slot_of, block_of)
-    tallies = {}
-    for r, p in enumerate(ordered):
-        tallies[p.canonical()] = PartitionTally(
-            matched=int(matched[r]),
-            opposed=int(cells[r].sum()),
-            shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
-            block_ties={block: int(ties[r, o]) for o, block in enumerate(p.blocks)},
-        )
-    return WalkCensus(n, k, n**k, tallies, nonpair)
+    tallies = {p.canonical(): PartitionTally(
+        matched=int(matched[r]), shared_cells={v: int(c) for v, c in enumerate(cells[r]) if c},
+        block_ties={block: int(ties[r, o]) for o, block in enumerate(p.blocks)})
+        for r, p in enumerate(ordered)}
+    return WalkCensus(n, k, tallies, nonpair)
 
 
 def _scale(n: int, k: int) -> int:

@@ -132,7 +132,8 @@ def solve_partition_system(p: PairPartition) -> SolvedSystem:
 def _rows_that_can_fail(matrix: np.ndarray) -> np.ndarray:
     """Distinct rows of ``matrix`` that are not a unit vector (module docstring),
     in sorted order.  (Sorted in Python: ``np.unique`` imports ``numpy.ma`` on
-    first use, about 30 ms, which a walk census would otherwise pay.)"""
+    first use, about 30 ms, which the exact fits of `moments` and a
+    `corrdiag volume` estimate would otherwise pay.)"""
     unit = (np.count_nonzero(matrix, axis=1) == 1) & (matrix.sum(axis=1) == 1.0)
     kept = sorted(set(map(tuple, matrix[~unit].tolist())))
     return np.array(kept, dtype=matrix.dtype).reshape(len(kept), matrix.shape[1])

@@ -121,4 +121,6 @@ def test_run_acceptance_checks_every_number_before_running_any(monkeypatch, tmp_
     monkeypatch.setitem(acceptance._CRITERIA, 1, must_not_run)
     with pytest.raises(ValueError, match="no criterion 42"):
         acceptance.run_acceptance((1, 42), out_dir=tmp_path / "d")
+    with pytest.raises(ValueError, match="criterion 1 is selected more than once"):
+        acceptance.run_acceptance((1, 1), out_dir=tmp_path / "d")
     assert not (tmp_path / "d").exists()

@@ -361,6 +361,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     ("simulate", "--n", "10", "--range", "5", "-5"),
     ("verify", "--criteria", "42"),
     ("verify", "--criteria", "1", "42"),
+    ("verify", "--criteria", "1", "1"),
     ("simulate", "--n", "10", "--bins", "0"),
     ("simulate", "--n", "10", "--k", "0"),
     ("simulate", "--seed", "-1", "--n", "5", "--realizations", "2"),

@@ -41,6 +41,7 @@ EXACT_POLYNOMIALS = {
 
 def test_catalan_small_values():
     assert [catalan(m) for m in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    assert catalan(31) == 14544636039226909  # math.comb is exact at every m
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
